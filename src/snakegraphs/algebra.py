@@ -99,6 +99,10 @@ class Mono:
         return not self._items
 
     def mul(self, other):
+        if not other._items:
+            return self
+        if not self._items:
+            return other
         d = dict(self._items)
         for v, e in other._items:
             d[v] = d.get(v, 0) + e
@@ -352,6 +356,14 @@ def format_var(v):
     return "%s:%s" % v
 
 
+def parse_var(text):
+    """Inverse of format_var: ``kind:label`` back to a variable id."""
+    kind, sep, label = text.partition(":")
+    if not sep or kind not in _KIND_ORDER or not label:
+        raise PolyParseError("bad variable %r" % (text,))
+    return (kind, label)
+
+
 def _format_factor(v, e):
     body = format_var(v)
     if e == 2:
@@ -409,12 +421,7 @@ def _parse_factor(text):
         exp2 = int(m.group(1)) * 2 if m.group(1) is not None else int(m.group(2))
     else:
         base, exp2 = text, 2
-    if ":" not in base:
-        raise PolyParseError("bad variable %r" % base)
-    kind, _, label = base.partition(":")
-    if kind not in _KIND_ORDER or not label:
-        raise PolyParseError("bad variable %r" % base)
-    return 1, Mono({(kind, label): exp2})
+    return 1, Mono({parse_var(base): exp2})
 
 
 def parse_poly(text):

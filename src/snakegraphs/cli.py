@@ -13,6 +13,7 @@ import sys
 
 from .algebra import format_mono, format_poly
 from .skein import SkeinError, instance_from_dict, verify_skein
+from .snakecore import SnakeError
 from .surface import (
     ValidationError,
     build_band_graph,
@@ -206,30 +207,33 @@ def build_parser():
                     "the expansions.")
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def add(name, fn, needs_input=True, formats=("text",)):
+    def add(name, fn, picks_curves=True, keeps_boundary=False,
+            formats=("text",)):
         p = sub.add_parser(name)
-        if needs_input:
-            p.add_argument("input", help="JSON input file")
+        p.add_argument("input", help="JSON input file")
+        if picks_curves:
             p.add_argument("--curve", help="restrict to one named curve")
             p.add_argument("--max-tiles", type=int, default=None,
                            help="refuse curves crossing more arcs")
-        p.add_argument("--keep-boundary", action="store_true",
-                       help="keep boundary variables in expansions")
-        p.add_argument("--seed", type=int, default=0)
+        if keeps_boundary:
+            p.add_argument("--keep-boundary", action="store_true",
+                           help="keep boundary variables in expansions")
         if len(formats) > 1:
             p.add_argument("--format", choices=formats, default="text")
         else:
             p.set_defaults(format=formats[0])
         p.set_defaults(fn=fn)
-        return p
 
-    add("expand", _cmd_expand, formats=("text", "json"))
-    add("bmatrix", _cmd_bmatrix, formats=("text", "json"))
+    add("expand", _cmd_expand, keeps_boundary=True, formats=("text", "json"))
+    add("bmatrix", _cmd_bmatrix, picks_curves=False,
+        formats=("text", "json"))
     add("matchings", _cmd_matchings, formats=("text", "json"))
     add("snake-dot", _cmd_snake_dot, formats=("dot",))
-    add("verify", _cmd_verify)
-    add("skein-check", _cmd_skein_check)
-    add("selftest", _cmd_selftest, needs_input=False)
+    add("verify", _cmd_verify, keeps_boundary=True)
+    add("skein-check", _cmd_skein_check, picks_curves=False)
+    selftest = sub.add_parser("selftest")
+    selftest.add_argument("--seed", type=int, default=0)
+    selftest.set_defaults(fn=_cmd_selftest)
     return parser
 
 
@@ -239,7 +243,7 @@ def main(argv=None, out=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args, out)
-    except (CLIError, ValidationError) as exc:
+    except (CLIError, ValidationError, SnakeError) as exc:
         sys.stderr.write("%s: %s\n" % (type(exc).__name__, exc))
         return 1
 

@@ -1,10 +1,11 @@
 """Matrix paths: step sequences whose 2x2 products expand curves.
 
 Each step carries one of three elementary matrices over the Laurent
-ring. A shear is unit lower triangular, a twist is diagonal in the
-per-tile coefficient variable, and a pivot is antidiagonal. The product
-of a curve's standard step sequence recovers the curve's expansion:
-through the upper right entry for arcs, through the trace for loops.
+ring: a shear, a twist or a pivot (defined in snakecore, next to the
+snake and band graphs whose standard step sequences they make up). The
+product of a curve's standard step sequence recovers the curve's
+expansion: through the upper right entry for arcs, through the trace for
+loops.
 
 Steps are listed in traversal order; the product multiplies later steps
 on the left.
@@ -12,110 +13,27 @@ on the left.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
-from .algebra import Mat2, Mono, Poly
-from .surface import (
+from .algebra import format_var, parse_var
+from .snakecore import (
     CCW,
     CW,
-    ValidationError,
-    arc_layout,
-    boundary_substitution,
-    loop_layout,
-    noose_substitution,
-    phi_substitution,
+    MPathError,
+    StepFormatError,
+    path_matrix,
+    pivot,
+    shear,
+    twist,
 )
-
-
-class MPathError(ValueError):
-    pass
+from .surface import (
+    ValidationError,
+    build_band_graph,
+    build_snake_graph,
+    specialize,
+)
 
 
 class MixedSigns(MPathError):
     """A matrix entry whose coefficients do not share a sign."""
-
-
-class StepFormatError(MPathError):
-    pass
-
-
-class Step(NamedTuple):
-    """One elementary step.
-
-    kind 1 (shear): tau, tau_prime, sigma set, mode is "cw" or "ccw".
-    kind 2 (twist): only tau set, mode is "cw" or "ccw".
-    kind 3 (pivot): only tau set, mode is +1 or -1.
-    """
-
-    kind: int
-    tau: tuple
-    tau_prime: tuple
-    sigma: tuple
-    mode: object
-
-
-def shear(tau, tau_prime, sigma, direction):
-    if direction not in (CW, CCW):
-        raise StepFormatError("bad shear direction %r" % (direction,))
-    return Step(1, tau, tau_prime, sigma, direction)
-
-
-def twist(tau, direction):
-    if direction not in (CW, CCW):
-        raise StepFormatError("bad twist direction %r" % (direction,))
-    return Step(2, tau, None, None, direction)
-
-
-def pivot(tau, sign):
-    if sign not in (1, -1):
-        raise StepFormatError("bad pivot sign %r" % (sign,))
-    return Step(3, tau, None, None, sign)
-
-
-def _xp(v, exp2=2):
-    return Poly.from_mono(Mono({v: exp2}))
-
-
-def _coeff(v):
-    return ("Y", v[1])
-
-
-def step_matrix(step, reduced=False):
-    """The 2x2 matrix of one step.
-
-    With ``reduced`` set, twists split their coefficient variable into
-    two half powers so that direction reversal inverts the matrix.
-    """
-    if step.kind == 1:
-        s = _xp(step.sigma).div_mono(
-            Mono({step.tau: 2}).mul(Mono({step.tau_prime: 2})))
-        if step.mode == CCW:
-            s = -s
-        return Mat2(Poly.one(), Poly.zero(), s, Poly.one())
-    if step.kind == 2:
-        y = _coeff(step.tau)
-        if reduced:
-            lo, hi = Mono({y: -1}), Mono({y: 1})
-        else:
-            lo, hi = Mono.unit(), Mono({y: 2})
-        if step.mode == CCW:
-            lo, hi = hi, lo
-        return Mat2(Poly.from_mono(lo), Poly.zero(),
-                    Poly.zero(), Poly.from_mono(hi))
-    if step.kind == 3:
-        x = _xp(step.tau)
-        xinv = _xp(step.tau, -2)
-        if step.mode == 1:
-            return Mat2(Poly.zero(), x, -xinv, Poly.zero())
-        return Mat2(Poly.zero(), -x, xinv, Poly.zero())
-    raise StepFormatError("unknown step kind %r" % (step.kind,))
-
-
-def path_matrix(steps, reduced=False):
-    m = Mat2.identity()
-    for s in steps:
-        m = step_matrix(s, reduced) * m
-    return m
 
 
 def invert_steps(steps):
@@ -163,42 +81,14 @@ class MPath:
 # -- standard sequences ----------------------------------------------------
 
 
-def _transition_steps(v, diag, turns, glues):
-    steps = []
-    for j, turn in enumerate(turns):
-        g = v(glues[j])
-        t0, t1 = diag[j], diag[j + 1]
-        steps.append(twist(t0, CW))
-        if turn == CCW:
-            steps.append(shear(t0, t1, g, CW))
-        else:
-            steps.append(shear(g, t0, t1, CW))
-            steps.append(pivot(g, 1))
-            steps.append(shear(g, t1, t0, CW))
-    return steps
-
-
 def standard_arc_path(tri, curve):
-    lay = arc_layout(tri, curve)
-    v = tri.variable
-    diag = [v(c) for c in lay.diagonals]
-    a, b = v(lay.corner_a), v(lay.corner_b)
-    w, z = v(lay.corner_w), v(lay.corner_z)
-    steps = [pivot(a, 1), shear(a, diag[0], b, CW)]
-    steps += _transition_steps(v, diag, lay.turns, lay.glues)
-    steps += [twist(diag[-1], CW), shear(diag[-1], z, w, CW), pivot(z, 1)]
-    return MPath(steps, closed=False)
+    steps = build_snake_graph(tri, curve).step_groups()
+    return MPath([s for group in steps for s in group], closed=False)
 
 
 def standard_loop_path(tri, curve):
-    lay = loop_layout(tri, curve)
-    v = tri.variable
-    diag = [v(c) for c in lay.diagonals]
-    cut = v(lay.cut)
-    steps = _transition_steps(v, diag, lay.turns, lay.glues)
-    steps += [twist(diag[-1], CW), shear(cut, diag[-1], diag[0], CW),
-              pivot(cut, 1), shear(cut, diag[0], diag[-1], CW)]
-    return MPath(steps, closed=True)
+    steps = build_band_graph(tri, curve).step_groups()
+    return MPath([s for group in steps for s in group], closed=True)
 
 
 def path_for_curve(tri, curve):
@@ -225,12 +115,7 @@ def chi_bar(path):
 def chi(tri, path, keep_boundary=False):
     """The curve expansion: the unreduced reading pushed through the
     tagged-arc coefficient map and the noose rewriting."""
-    p = chi_hat(path)
-    p = p.substitute(phi_substitution(tri))
-    p = p.substitute(noose_substitution(tri))
-    if not keep_boundary:
-        p = p.substitute(boundary_substitution(tri))
-    return p
+    return specialize(tri, chi_hat(path), keep_boundary)
 
 
 def a_coordinates(tri, path, keep_boundary=False):
@@ -305,29 +190,18 @@ def rotate_loop(steps, k):
 # -- text form -------------------------------------------------------------
 
 
-def _fmt_var(v):
-    return "%s:%s" % v
-
-
-def _parse_var(text):
-    kind, sep, label = text.partition(":")
-    if not sep or not label or kind not in ("x", "b", "y", "Y"):
-        raise StepFormatError("bad variable %r" % (text,))
-    return (kind, label)
-
-
 def format_steps(steps):
     lines = []
     for s in steps:
         if s.kind == 1:
             lines.append("1 %s %s %s %s" % (
-                s.mode, _fmt_var(s.tau), _fmt_var(s.tau_prime),
-                _fmt_var(s.sigma)))
+                s.mode, format_var(s.tau), format_var(s.tau_prime),
+                format_var(s.sigma)))
         elif s.kind == 2:
-            lines.append("2 %s %s" % (s.mode, _fmt_var(s.tau)))
+            lines.append("2 %s %s" % (s.mode, format_var(s.tau)))
         else:
             lines.append("3 %s %s" % ("+" if s.mode == 1 else "-",
-                                      _fmt_var(s.tau)))
+                                      format_var(s.tau)))
     return "\n".join(lines)
 
 
@@ -340,15 +214,15 @@ def parse_steps(text):
         parts = line.split()
         try:
             if parts[0] == "1" and len(parts) == 5:
-                steps.append(shear(_parse_var(parts[2]),
-                                   _parse_var(parts[3]),
-                                   _parse_var(parts[4]), parts[1]))
+                steps.append(shear(parse_var(parts[2]),
+                                   parse_var(parts[3]),
+                                   parse_var(parts[4]), parts[1]))
             elif parts[0] == "2" and len(parts) == 3:
-                steps.append(twist(_parse_var(parts[2]), parts[1]))
+                steps.append(twist(parse_var(parts[2]), parts[1]))
             elif parts[0] == "3" and len(parts) == 3:
                 if parts[1] not in ("+", "-"):
                     raise StepFormatError("bad pivot sign %r" % (parts[1],))
-                steps.append(pivot(_parse_var(parts[2]),
+                steps.append(pivot(parse_var(parts[2]),
                                    1 if parts[1] == "+" else -1))
             else:
                 raise StepFormatError("bad step line %r" % (line,))

@@ -36,6 +36,7 @@ from .surface import (
     Curve,
     PuncturedSurface,
     ValidationError,
+    curve_from_dict,
     phi_substitution,
 )
 
@@ -596,17 +597,7 @@ def instance_from_dict(doc, named_curves=()):
                 raise ValidationError("unknown curve name %r" % (val,))
             curves[role] = by_name[val]
         elif isinstance(val, dict):
-            from .surface import _CURVE_KEYS, _reject_unknown
-            _reject_unknown(val, _CURVE_KEYS, "curve")
-            curves[role] = Curve(
-                kind=val.get("kind", "arc"),
-                crossings=val.get("crossings", []),
-                start_triangle=val.get("start_triangle"),
-                end_triangle=val.get("end_triangle"),
-                basepoint_triangle=val.get("basepoint_triangle"),
-                kinks=val.get("kinks", 0),
-                name=val.get("name"),
-            )
+            curves[role] = curve_from_dict(val)
         else:
             raise ValidationError("bad curve reference %r" % (val,))
     return SkeinInstance(

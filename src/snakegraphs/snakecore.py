@@ -6,6 +6,11 @@ here, summing over perfect matchings and multiplying 2x2 transfer
 matrices, must agree exactly; a slower exhaustive matcher is kept as an
 independent oracle.
 
+The transfer matrices are products of elementary steps: shears, twists
+and pivots. Each graph builds its standard step sequence from its own
+labels; the transfer matrix of a snake is the product of its transition
+groups, and the full product reads off the expansion.
+
 Grid conventions (frozen, everything else depends on them):
 
   * tile 0 sits at the origin, tile j+1 is one step north or east of
@@ -26,11 +31,14 @@ Grid conventions (frozen, everything else depends on them):
 from __future__ import annotations
 
 import itertools
+from typing import NamedTuple
 
 from .algebra import Mat2, Mono, Poly
 
 NORTH = "N"
 EAST = "E"
+CCW = "ccw"
+CW = "cw"
 
 
 class SnakeError(ValueError):
@@ -45,13 +53,108 @@ class DegenerateBand(SnakeError):
     """Band graphs need at least two tiles."""
 
 
-def _x(vid, exp2=2):
-    return Poly.from_mono(Mono({vid: exp2}))
+class MPathError(ValueError):
+    pass
 
 
-def _curly(vid, exp2=2):
+class StepFormatError(MPathError):
+    pass
+
+
+def _curly(vid):
     """The per-tile coefficient variable attached to a diagonal label."""
     return ("Y", vid[1])
+
+
+# -- elementary steps --------------------------------------------------------
+
+
+class Step(NamedTuple):
+    """One elementary step.
+
+    kind 1 (shear): tau, tau_prime, sigma set, mode is "cw" or "ccw".
+    kind 2 (twist): only tau set, mode is "cw" or "ccw".
+    kind 3 (pivot): only tau set, mode is +1 or -1.
+    """
+
+    kind: int
+    tau: tuple
+    tau_prime: tuple
+    sigma: tuple
+    mode: object
+
+
+def shear(tau, tau_prime, sigma, direction):
+    if direction not in (CW, CCW):
+        raise StepFormatError("bad shear direction %r" % (direction,))
+    return Step(1, tau, tau_prime, sigma, direction)
+
+
+def twist(tau, direction):
+    if direction not in (CW, CCW):
+        raise StepFormatError("bad twist direction %r" % (direction,))
+    return Step(2, tau, None, None, direction)
+
+
+def pivot(tau, sign):
+    if sign not in (1, -1):
+        raise StepFormatError("bad pivot sign %r" % (sign,))
+    return Step(3, tau, None, None, sign)
+
+
+def step_matrix(step, reduced=False):
+    """The 2x2 matrix of one step.
+
+    A shear is unit lower triangular, a twist is diagonal in the per-tile
+    coefficient variable, and a pivot is antidiagonal. With ``reduced``
+    set, twists split their coefficient variable into two half powers so
+    that direction reversal inverts the matrix.
+    """
+    if step.kind == 1:
+        e = {step.sigma: 2}
+        for v in (step.tau, step.tau_prime):  # labels may coincide
+            e[v] = e.get(v, 0) - 2
+        s = Poly.from_mono(Mono(e), -1 if step.mode == CCW else 1)
+        return Mat2(Poly.one(), Poly.zero(), s, Poly.one())
+    if step.kind == 2:
+        y = _curly(step.tau)
+        if reduced:
+            lo, hi = Mono({y: -1}), Mono({y: 1})
+        else:
+            lo, hi = Mono.unit(), Mono({y: 2})
+        if step.mode == CCW:
+            lo, hi = hi, lo
+        return Mat2(Poly.from_mono(lo), Poly.zero(),
+                    Poly.zero(), Poly.from_mono(hi))
+    if step.kind == 3:
+        x = Poly.from_mono(Mono({step.tau: 2}))
+        xinv = Poly.from_mono(Mono({step.tau: -2}))
+        if step.mode == 1:
+            return Mat2(Poly.zero(), x, -xinv, Poly.zero())
+        return Mat2(Poly.zero(), -x, xinv, Poly.zero())
+    raise StepFormatError("unknown step kind %r" % (step.kind,))
+
+
+def _product(mats):
+    m = None
+    for x in mats:
+        m = x if m is None else x * m
+    return Mat2.identity() if m is None else m
+
+
+def path_matrix(steps, reduced=False):
+    """Product of a step sequence; later steps multiply on the left."""
+    return _product(step_matrix(s, reduced) for s in steps)
+
+
+def _grouped_product(groups):
+    """Product of a grouped step sequence.
+
+    Each group is multiplied out before it meets the accumulator, whose
+    entries grow with the number of tiles: one large product per group
+    instead of one per step.
+    """
+    return _product(path_matrix(group) for group in groups)
 
 
 def _edge_key(v1, v2):
@@ -328,47 +431,50 @@ class SnakeGraph:
 
     # -- matrix route ------------------------------------------------------
 
-    def step_matrix(self, j):
-        """Transfer factor between tiles j and j+1 (0-indexed)."""
-        di, dj = self.diagonals[j], self.diagonals[j + 1]
-        g = self.glue_labels[j]
-        y = Poly.from_mono(Mono({_curly(di): 2}))
-        first_kind = (self.shapes[j] == NORTH if j == 0
-                      else self.shapes[j] == self.shapes[j - 1])
-        if first_kind:
-            frac = Poly.from_mono(Mono({g: 2, di: -2, dj: -2}))
-            return Mat2(1, 0, frac, y)
-        return Mat2(
-            Poly.from_mono(Mono({dj: 2, di: -2})),
-            Poly.from_mono(Mono({g: 2})) * y,
-            0,
-            Poly.from_mono(Mono({di: 2, dj: -2})) * y,
-        )
+    def _transition_groups(self):
+        """One step group per tile transition. Turn j is counterclockwise
+        when shape letter j repeats the one before it (the first letter
+        counts as a repeat of NORTH); it then takes a twist and a shear,
+        and a clockwise turn a twist, shear, pivot and shear."""
+        groups = []
+        for j in range(self.d - 1):
+            t0, t1 = self.diagonals[j], self.diagonals[j + 1]
+            g = self.glue_labels[j]
+            group = [twist(t0, CW)]
+            if self.shapes[j] == (self.shapes[j - 1] if j else NORTH):
+                group.append(shear(t0, t1, g, CW))
+            else:
+                group += [shear(g, t0, t1, CW), pivot(g, 1),
+                          shear(g, t1, t0, CW)]
+            groups.append(group)
+        return groups
+
+    def step_groups(self):
+        """The standard step sequence of the arc, grouped: the start
+        steps, one group per tile transition and the end steps."""
+        a, b = self.corner_a, self.corner_b
+        w, z = self.corner_w, self.corner_z
+        first, last = self.diagonals[0], self.diagonals[-1]
+        return ([[pivot(a, 1), shear(a, first, b, CW)]]
+                + self._transition_groups()
+                + [[twist(last, CW), shear(last, z, w, CW), pivot(z, 1)]])
 
     def transfer_matrix(self):
-        m = Mat2.identity()
-        for j in range(self.d - 1):
-            m = self.step_matrix(j) * m
-        return m
+        """The product of the transition groups."""
+        return _grouped_product(self._transition_groups())
 
     def enumerator_by_matrices(self):
-        """Crossing monomial times the upper-right product entry."""
-        d = self.d
-        i1, idd = self.diagonals[0], self.diagonals[-1]
-        ylast = Poly.from_mono(Mono({_curly(idd): 2}))
-        upper = Mat2(
-            Poly.from_mono(Mono({self.corner_w: 2, idd: -2})),
-            _x(self.corner_z) * ylast,
-            -_x(self.corner_z, -2),
-            0,
-        )
-        lower = Mat2(
-            0,
-            _x(self.corner_a),
-            -_x(self.corner_a, -2),
-            Poly.from_mono(Mono({self.corner_b: 2, i1: -2})),
-        )
-        prod = upper * self.transfer_matrix() * lower
+        """Crossing monomial times the upper-right entry of the product
+        of all step groups.
+
+        The start group joins last. The transition product stays
+        triangular while its turns all go the same way (a long chord in
+        a fan); a start group multiplied in first would fill its zero
+        entries and make every later product larger.
+        """
+        start, *transitions, end = self.step_groups()
+        prod = (path_matrix(end) * _grouped_product(transitions)
+                * path_matrix(start))
         return Poly.from_mono(self.crossing_mono()) * prod.upper_right()
 
     def enumerator_by_matchings(self, rel=1):
@@ -471,18 +577,22 @@ class BandGraph:
             total = total + Poly.from_mono(w.mul(h))
         return total
 
-    def enumerator_by_matrices(self):
+    def step_groups(self):
+        """The standard step sequence of the loop, grouped: one group per
+        tile transition and the closing steps. A loop has no start
+        steps."""
         base = self.base
-        i1, idd = base.diagonals[0], base.diagonals[-1]
-        ylast = Poly.from_mono(Mono({_curly(idd): 2}))
-        closing = Mat2(
-            Poly.from_mono(Mono({i1: 2, idd: -2})),
-            _x(self.cut_label) * ylast,
-            0,
-            ylast * Poly.from_mono(Mono({idd: 2, i1: -2})),
-        )
-        prod = closing * base.transfer_matrix()
-        return Poly.from_mono(base.crossing_mono()) * prod.trace()
+        first, last = base.diagonals[0], base.diagonals[-1]
+        cut = self.cut_label
+        return base._transition_groups() + [[
+            twist(last, CW), shear(cut, last, first, CW), pivot(cut, 1),
+            shear(cut, first, last, CW)]]
+
+    def enumerator_by_matrices(self):
+        """Crossing monomial times the trace of the product of all step
+        groups."""
+        prod = _grouped_product(self.step_groups())
+        return Poly.from_mono(self.base.crossing_mono()) * prod.trace()
 
     def good_matchings_by_exhaustion(self):
         """Oracle: matchings of the identified graph, filtered directly.

@@ -10,7 +10,15 @@ crossing sequences plus the triangles where they start and end.
 from __future__ import annotations
 
 from .algebra import Mono, Poly
-from .snakecore import EAST, NORTH, BandGraph, DegenerateBand, SnakeGraph
+from .snakecore import (
+    CCW,
+    CW,
+    EAST,
+    NORTH,
+    BandGraph,
+    DegenerateBand,
+    SnakeGraph,
+)
 
 
 class ValidationError(ValueError):
@@ -40,10 +48,6 @@ class UnsupportedSelfFoldedSelfIntersection(ValidationError):
 
 class PuncturedSurface(ValidationError):
     """An operation restricted to unpunctured surfaces."""
-
-
-CCW = "ccw"
-CW = "cw"
 
 
 class Triangulation:
@@ -522,11 +526,19 @@ class ClusterElement:
         return self.tropical_shift is None or self.tropical_shift.is_unit()
 
 
-def _finish(tri, raw, keep_boundary):
+def specialize(tri, raw, keep_boundary=False):
+    """Push a raw expansion through the tagged-arc coefficient map, the
+    noose rewriting and, unless ``keep_boundary`` is set, the boundary
+    substitution."""
     x = raw.substitute(phi_substitution(tri))
     x = x.substitute(noose_substitution(tri))
     if not keep_boundary:
         x = x.substitute(boundary_substitution(tri))
+    return x
+
+
+def _finish(tri, raw, keep_boundary):
+    x = specialize(tri, raw, keep_boundary)
     kill = {v: 1 for v in x.variables() if v[0] in ("x", "b")}
     f = x.substitute(kill)
     if f.is_zero():
@@ -638,19 +650,21 @@ def triangulation_from_dict(doc):
         self_folded=doc.get("self_folded", []),
         arc_ends=ends,
     )
-    curves = []
-    for entry in doc.get("curves", []):
-        if not isinstance(entry, dict):
-            raise ValidationError("bad curve entry %r" % (entry,))
-        _reject_unknown(entry, _CURVE_KEYS, "curve")
-        curves.append(Curve(
-            kind=entry.get("kind", "arc"),
-            crossings=entry.get("crossings", []),
-            start_triangle=entry.get("start_triangle"),
-            end_triangle=entry.get("end_triangle"),
-            basepoint_triangle=entry.get("basepoint_triangle"),
-            kinks=entry.get("kinks", 0),
-            puncture=entry.get("puncture"),
-            name=entry.get("name"),
-        ))
-    return tri, curves
+    return tri, [curve_from_dict(entry) for entry in doc.get("curves", [])]
+
+
+def curve_from_dict(entry):
+    """Build a curve from its JSON object."""
+    if not isinstance(entry, dict):
+        raise ValidationError("bad curve entry %r" % (entry,))
+    _reject_unknown(entry, _CURVE_KEYS, "curve")
+    return Curve(
+        kind=entry.get("kind", "arc"),
+        crossings=entry.get("crossings", []),
+        start_triangle=entry.get("start_triangle"),
+        end_triangle=entry.get("end_triangle"),
+        basepoint_triangle=entry.get("basepoint_triangle"),
+        kinks=entry.get("kinks", 0),
+        puncture=entry.get("puncture"),
+        name=entry.get("name"),
+    )

@@ -161,3 +161,27 @@ class TestErrors:
         code, _ = run(["skein-check", str(p)])
         assert code == 1
         assert "ParseError" in capsys.readouterr().err
+
+    def test_one_crossing_loop(self, tmp_path, capsys):
+        p = tmp_path / "short.json"
+        doc = json.loads(golden("annulus.json"))
+        doc["curves"] = [{"name": "short", "kind": "loop",
+                          "crossings": ["1"], "basepoint_triangle": 3}]
+        p.write_text(json.dumps(doc), encoding="utf-8")
+        code, _ = run(["expand", str(p)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("DegenerateBand: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["bmatrix", "--seed", "5"],
+        ["bmatrix", "--keep-boundary"],
+        ["bmatrix", "--curve", "core"],
+        ["matchings", "--keep-boundary"],
+        ["skein-check", "--max-tiles", "2"],
+    ])
+    def test_flags_a_verb_ignores_are_refused(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            run(argv + [fixture("annulus.json")])
+        assert exc.value.code == 2

@@ -258,3 +258,10 @@ class TestInterchange:
         with pytest.raises(ValidationError):
             instance_from_dict({"variant": ARC_ARC,
                                 "curves": {"gamma1": "nope"}})
+
+    def test_inline_curve_keeps_its_puncture(self):
+        inst = instance_from_dict(
+            {"variant": WITH_LOOP,
+             "curves": {"alpha": {"kind": "puncture_loop",
+                                  "puncture": "p"}}})
+        assert inst.curve("alpha").puncture == "p"
