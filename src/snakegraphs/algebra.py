@@ -22,7 +22,12 @@ KINDS = ("x", "y", "Y", "b")
 _KIND_ORDER = {k: i for i, k in enumerate(KINDS)}
 
 
-class AlgebraError(ValueError):
+class SnakeGraphsError(ValueError):
+    """Base class of every error the package raises on bad input or a
+    failed check."""
+
+
+class AlgebraError(SnakeGraphsError):
     pass
 
 
@@ -217,12 +222,6 @@ class Poly:
 
     def is_zero(self):
         return not self._terms
-
-    def is_one(self):
-        return self._terms == {Mono.unit(): 1}
-
-    def is_monomial(self):
-        return len(self._terms) == 1
 
     def as_mono(self):
         """The single monomial of a one-term polynomial with coefficient 1."""
@@ -514,6 +513,3 @@ class Mat2:
             raise NotUnimodular(
                 "matrix determinant is %s, not 1" % format_poly(self.det()))
         return Mat2(self.d, -self.b, -self.c, self.a)
-
-    def map_entries(self, fn):
-        return Mat2(fn(self.a), fn(self.b), fn(self.c), fn(self.d))

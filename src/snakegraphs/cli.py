@@ -11,20 +11,18 @@ import argparse
 import json
 import sys
 
-from .algebra import format_mono, format_poly
-from .skein import SkeinError, instance_from_dict, verify_skein
-from .snakecore import SnakeError
+from .algebra import SnakeGraphsError, format_mono, format_poly
+from .skein import instance_from_dict, verify_skein
 from .surface import (
     ValidationError,
-    build_band_graph,
-    build_snake_graph,
     expand,
     expand_by_matrices,
+    graph_for,
     triangulation_from_dict,
 )
 
 
-class CLIError(Exception):
+class CLIError(SnakeGraphsError):
     pass
 
 
@@ -114,19 +112,11 @@ def _cmd_bmatrix(args, out):
     return 0
 
 
-def _graph_for(tri, curve):
-    if curve.kind == "loop":
-        return build_band_graph(tri, curve)
-    if curve.kind == "arc":
-        return build_snake_graph(tri, curve)
-    raise CLIError("curve %r has no snake graph" % (curve.name or "?",))
-
-
 def _cmd_matchings(args, out):
     tri, curves = _load_surface(args.input)
     rows = []
     for curve in _pick_curves(curves, args.curve, args.max_tiles):
-        g = _graph_for(tri, curve)
+        g = graph_for(tri, curve)
         if curve.kind == "loop":
             pairs = [(w, h) for _, w, h in g.good_matchings()]
         else:
@@ -152,7 +142,7 @@ def _cmd_matchings(args, out):
 def _cmd_snake_dot(args, out):
     tri, curves = _load_surface(args.input)
     for curve in _pick_curves(curves, args.curve, args.max_tiles):
-        out.write(_graph_for(tri, curve).to_dot())
+        out.write(graph_for(tri, curve).to_dot())
         out.write("\n")
     return 0
 
@@ -183,12 +173,9 @@ def _cmd_skein_check(args, out):
         raise ParseError(
             "%s: expected an object with surface and instance keys"
             % (args.input,))
-    try:
-        tri, curves = triangulation_from_dict(doc["surface"])
-        inst = instance_from_dict(doc["instance"], named_curves=curves)
-        report = verify_skein(tri, inst)
-    except (ValidationError, SkeinError) as exc:
-        raise CLIError("%s: %s" % (type(exc).__name__, exc)) from exc
+    tri, curves = triangulation_from_dict(doc["surface"])
+    inst = instance_from_dict(doc["instance"], named_curves=curves)
+    report = verify_skein(tri, inst)
     out.write(report.as_text())
     out.write("\n")
     return 0
@@ -243,7 +230,7 @@ def main(argv=None, out=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args, out)
-    except (CLIError, ValidationError, SnakeError) as exc:
+    except SnakeGraphsError as exc:
         sys.stderr.write("%s: %s\n" % (type(exc).__name__, exc))
         return 1
 

@@ -24,12 +24,7 @@ from .snakecore import (
     shear,
     twist,
 )
-from .surface import (
-    ValidationError,
-    build_band_graph,
-    build_snake_graph,
-    specialize,
-)
+from .surface import graph_for, specialize
 
 
 class MixedSigns(MPathError):
@@ -81,24 +76,15 @@ class MPath:
 # -- standard sequences ----------------------------------------------------
 
 
-def standard_arc_path(tri, curve):
-    steps = build_snake_graph(tri, curve).step_groups()
-    return MPath([s for group in steps for s in group], closed=False)
-
-
-def standard_loop_path(tri, curve):
-    steps = build_band_graph(tri, curve).step_groups()
-    return MPath([s for group in steps for s in group], closed=True)
-
-
 def path_for_curve(tri, curve):
-    if curve.kind == "arc":
-        return standard_arc_path(tri, curve)
-    if curve.kind == "loop":
-        return standard_loop_path(tri, curve)
-    raise ValidationError(
-        "standard paths exist only for arcs and loops, not %r"
-        % (curve.kind,))
+    """The standard step sequence of an arc or a loop, read off its snake
+    or band graph."""
+    groups = graph_for(tri, curve).step_groups()
+    return MPath([s for group in groups for s in group],
+                 closed=curve.kind == "loop")
+
+
+standard_arc_path = standard_loop_path = path_for_curve
 
 
 # -- specializations -------------------------------------------------------

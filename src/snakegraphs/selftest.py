@@ -13,7 +13,7 @@ import os
 import random
 import sys
 
-from .algebra import Mono
+from .algebra import Mono, parse_poly
 from .mpath import (
     CW,
     MPath,
@@ -44,6 +44,7 @@ from .surface import (
     arc_layout,
     expand,
     expand_by_matrices,
+    graph_for,
 )
 
 
@@ -425,7 +426,6 @@ def _check(cond, message):
 
 
 def _golden_loop_section():
-    from .algebra import parse_poly
     tri, loop = golden_ring()
     got_match = expand(tri, loop).laurent
     got_matrix = expand_by_matrices(tri, loop).laurent
@@ -435,8 +435,7 @@ def _golden_loop_section():
     ).div_mono(Mono({("x", l): 2 for l in "1234"}))
     _check(got_match == expected, "matching route differs from golden")
     _check(got_matrix == expected, "matrix route differs from golden")
-    from .surface import build_band_graph
-    _check(len(build_band_graph(tri, loop).good_matchings()) == 6,
+    _check(len(graph_for(tri, loop).good_matchings()) == 6,
            "good matching count is not 6")
 
 

@@ -14,7 +14,14 @@ from __future__ import annotations
 
 import random
 
-from .algebra import Mat2, Mono, Poly
+from .algebra import (
+    Mat2,
+    Mono,
+    Poly,
+    SnakeGraphsError,
+    format_mono,
+    format_poly,
+)
 from .mpath import (
     CCW,
     CW,
@@ -37,11 +44,12 @@ from .surface import (
     PuncturedSurface,
     ValidationError,
     curve_from_dict,
+    expand,
     phi_substitution,
 )
 
 
-class SkeinError(ValueError):
+class SkeinError(SnakeGraphsError):
     pass
 
 
@@ -212,27 +220,24 @@ def monomial_quotient(num, den):
     return None
 
 
-def _chi_bar_curve(tri, curve):
+def _curve_reading(tri, curve, read):
+    """``read`` applied to the curve's standard path, signed by its
+    kinks; the contractible kinds have fixed values instead."""
     if curve.kind == "contractible_monogon_arc":
         return Poly.zero()
     if curve.kind == "contractible_loop":
         return Poly.const(-2)
-    val = chi_bar(path_for_curve(tri, curve))
+    val = read(path_for_curve(tri, curve))
     return -val if curve.sign() < 0 else val
+
+
+def _chi_bar_curve(tri, curve):
+    return _curve_reading(tri, curve, chi_bar)
 
 
 def _chi_curve(tri, curve):
-    if curve.kind == "contractible_monogon_arc":
-        return Poly.zero()
-    if curve.kind == "contractible_loop":
-        return Poly.const(-2)
-    val = chi(tri, path_for_curve(tri, curve), keep_boundary=True)
-    return -val if curve.sign() < 0 else val
-
-
-def _composite_value(steps, closed):
-    m = path_matrix(steps, reduced=True)
-    return abs_poly(m.trace() if closed else m.upper_right())
+    return _curve_reading(
+        tri, curve, lambda path: chi(tri, path, keep_boundary=True))
 
 
 def _match_composite(tri, steps, curve, role):
@@ -240,7 +245,7 @@ def _match_composite(tri, steps, curve, role):
     declared curve's reduced reading."""
     closed = curve.kind in ("loop", "contractible_loop")
     try:
-        got = _composite_value(steps, closed)
+        got = chi_bar(MPath(steps, closed))
     except MixedSigns:
         raise IsotopyMismatch(
             "composite for %s has a mixed-sign reading" % role)
@@ -341,7 +346,6 @@ class SkeinReport:
         return all(s == 1 for s in self.signs)
 
     def as_text(self):
-        from .algebra import format_mono, format_poly
         lines = ["variant: %s" % self.variant,
                  "lhs: %s" % format_poly(self.lhs)]
         for i, (s, c, p) in enumerate(
@@ -539,7 +543,6 @@ def ptolemy_check(tri, eta_label, theta_curve):
     if eta_label not in tri.arcs:
         raise SkeinError("%r is not an arc of the triangulation"
                          % (eta_label,))
-    from .surface import expand
     x_eta = Poly.of_var("x", eta_label)
     x_theta = expand(tri, theta_curve, keep_boundary=True).laurent
     product = x_eta * x_theta

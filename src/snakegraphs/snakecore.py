@@ -30,10 +30,9 @@ Grid conventions (frozen, everything else depends on them):
 
 from __future__ import annotations
 
-import itertools
 from typing import NamedTuple
 
-from .algebra import Mat2, Mono, Poly
+from .algebra import Mat2, Mono, Poly, SnakeGraphsError
 
 NORTH = "N"
 EAST = "E"
@@ -41,7 +40,7 @@ CCW = "ccw"
 CW = "cw"
 
 
-class SnakeError(ValueError):
+class SnakeError(SnakeGraphsError):
     pass
 
 
@@ -53,7 +52,7 @@ class DegenerateBand(SnakeError):
     """Band graphs need at least two tiles."""
 
 
-class MPathError(ValueError):
+class MPathError(SnakeGraphsError):
     pass
 
 
@@ -297,25 +296,12 @@ class SnakeGraph:
     def matchings_by_exhaustion(self):
         """Independent oracle enumerator.
 
-        Small graphs filter raw edge subsets; larger ones use an
-        include/exclude recursion over the sorted edge list with dead-end
-        pruning. Output order is by sorted edge sets, not matching order.
+        An include/exclude recursion over the sorted edge list with
+        dead-end pruning. Output order is by sorted edge sets, not
+        matching order.
         """
         keys = sorted(self.edge_labels)
         n = len(self.vertices)
-        if self.d <= 6:
-            found = []
-            for combo in itertools.combinations(keys, n // 2):
-                seen = set()
-                ok = True
-                for key in combo:
-                    if set(key) & seen:
-                        ok = False
-                        break
-                    seen.update(key)
-                if ok and len(seen) == n:
-                    found.append(frozenset(combo))
-            return sorted(found, key=sorted)
         found = []
 
         def rec(i, covered, chosen):
@@ -571,6 +557,9 @@ class BandGraph:
             out.append((edges, weight, base.height_mono(m, minimal)))
         return out
 
+    def crossing_mono(self):
+        return self.base.crossing_mono()
+
     def enumerator_by_matchings(self, rel=1):
         total = Poly.zero()
         for _, w, h in self.good_matchings(rel):
@@ -592,7 +581,7 @@ class BandGraph:
         """Crossing monomial times the trace of the product of all step
         groups."""
         prod = _grouped_product(self.step_groups())
-        return Poly.from_mono(self.base.crossing_mono()) * prod.trace()
+        return Poly.from_mono(self.crossing_mono()) * prod.trace()
 
     def good_matchings_by_exhaustion(self):
         """Oracle: matchings of the identified graph, filtered directly.

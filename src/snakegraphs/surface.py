@@ -9,7 +9,7 @@ crossing sequences plus the triangles where they start and end.
 
 from __future__ import annotations
 
-from .algebra import Mono, Poly
+from .algebra import Mono, Poly, SnakeGraphsError
 from .snakecore import (
     CCW,
     CW,
@@ -21,7 +21,7 @@ from .snakecore import (
 )
 
 
-class ValidationError(ValueError):
+class ValidationError(SnakeGraphsError):
     """Base class for malformed surface or curve data."""
 
 
@@ -76,6 +76,10 @@ class Triangulation:
             raise ValidationError("labels used as both arc and boundary")
         if len(arcset) != len(self.arcs) or len(bset) != len(self.boundary):
             raise ValidationError("duplicate arc or boundary labels")
+        for sf in self.self_folded:
+            if set(sf) != {"noose", "radius", "puncture"}:
+                raise MalformedSelfFolded(
+                    "self-folded record needs noose/radius/puncture")
         radii = {sf["radius"] for sf in self.self_folded}
         counts = {}
         for idx, tri in enumerate(self.triangles):
@@ -102,9 +106,6 @@ class Triangulation:
                 raise ValidationError(
                     "boundary segment %r occurs %d times" % (b, counts[b]))
         for sf in self.self_folded:
-            if set(sf) != {"noose", "radius", "puncture"}:
-                raise MalformedSelfFolded(
-                    "self-folded record needs noose/radius/puncture")
             noose, radius, p = sf["noose"], sf["radius"], sf["puncture"]
             if noose not in arcset or radius not in arcset:
                 raise MalformedSelfFolded("self-folded sides must be arcs")
@@ -125,8 +126,8 @@ class Triangulation:
         """Two ordinary triangles glued along two arcs must see the shared
         pair in opposite cyclic orders, otherwise the gluing reverses
         orientation."""
-        tris = [tri for tri in self.triangles
-                if not self.is_self_folded_triangle_sides(tri)]
+        tris = [tri for i, tri in enumerate(self.triangles)
+                if self.self_folded_record(i) is None]
         for i in range(len(tris)):
             for j in range(i + 1, len(tris)):
                 shared = set(tris[i]) & set(tris[j]) & set(self.arcs)
@@ -147,19 +148,14 @@ class Triangulation:
     def variable(self, label):
         return ("b" if self.is_boundary(label) else "x", label)
 
-    def is_self_folded_triangle(self, idx):
-        return self.is_self_folded_triangle_sides(self.triangles[idx])
-
-    def is_self_folded_triangle_sides(self, tri):
-        return any(sorted(tri) == sorted([sf["radius"], sf["radius"],
-                                          sf["noose"]])
-                   for sf in self.self_folded)
-
     def self_folded_record(self, idx):
-        tri = self.triangles[idx]
+        """The (noose, radius, puncture) record of triangle ``idx``, or
+        None for an ordinary triangle."""
+        if not self.self_folded:
+            return None
+        sides = sorted(self.triangles[idx])
         for sf in self.self_folded:
-            if sorted(tri) == sorted([sf["radius"], sf["radius"],
-                                      sf["noose"]]):
+            if sides == sorted([sf["radius"], sf["radius"], sf["noose"]]):
                 return sf
         return None
 
@@ -227,7 +223,7 @@ class Triangulation:
         index = {a: i for i, a in enumerate(self.arcs)}
         b = [[0] * n for _ in range(n)]
         for idx, tri in enumerate(self.triangles):
-            if self.is_self_folded_triangle_sides(tri):
+            if self.self_folded_record(idx) is not None:
                 continue
             for s in tri:
                 t = self._succ(tri, s)
@@ -259,12 +255,21 @@ class Curve:
                  puncture=None, name=None):
         if kind not in self.KINDS:
             raise ValidationError("unknown curve kind %r" % (kind,))
+        for field, value in (("start_triangle", start_triangle),
+                             ("end_triangle", end_triangle),
+                             ("basepoint_triangle", basepoint_triangle)):
+            if value is not None and type(value) is not int:
+                raise ValidationError(
+                    "%s must be a triangle index, not %r" % (field, value))
+        if type(kinks) is not int:
+            raise ValidationError(
+                "kinks must be an integer, not %r" % (kinks,))
         self.kind = kind
         self.crossings = list(crossings)
         self.start_triangle = start_triangle
         self.end_triangle = end_triangle
         self.basepoint_triangle = basepoint_triangle
-        self.kinks = int(kinks)
+        self.kinks = kinks
         self.puncture = puncture
         self.name = name
 
@@ -324,8 +329,8 @@ def _turns_to_shapes(turns):
 
 def _turn_and_glue(tri, idx, prev_cross, next_cross):
     """Turn direction and glue label inside one chain triangle."""
-    if tri.is_self_folded_triangle(idx):
-        sf = tri.self_folded_record(idx)
+    sf = tri.self_folded_record(idx)
+    if sf is not None:
         allowed = {sf["radius"], sf["noose"]}
         if prev_cross not in allowed or next_cross not in allowed:
             raise NonAdjacentCrossings(
@@ -342,8 +347,8 @@ def _turn_and_glue(tri, idx, prev_cross, next_cross):
 
 
 def _first_corners(tri, idx, first_cross):
-    if tri.is_self_folded_triangle(idx):
-        sf = tri.self_folded_record(idx)
+    sf = tri.self_folded_record(idx)
+    if sf is not None:
         if first_cross == sf["noose"]:
             return sf["radius"], sf["radius"]
         if first_cross == sf["radius"]:
@@ -356,8 +361,8 @@ def _first_corners(tri, idx, first_cross):
 
 
 def _last_corners(tri, idx, last_cross):
-    if tri.is_self_folded_triangle(idx):
-        sf = tri.self_folded_record(idx)
+    sf = tri.self_folded_record(idx)
+    if sf is not None:
         if last_cross == sf["noose"]:
             return sf["radius"], sf["radius"]
         if last_cross == sf["radius"]:
@@ -369,6 +374,34 @@ def _last_corners(tri, idx, last_cross):
             tri.cw_predecessor(idx, last_cross))
 
 
+def _triangle_sides(tri, idx):
+    if not 0 <= idx < len(tri.triangles):
+        raise ValidationError("there is no triangle %d" % (idx,))
+    return tri.triangles[idx]
+
+
+def _unfold(tri, start, crossings):
+    """Walk the triangle chain from ``start`` across ``crossings``.
+
+    Returns the chain of triangle indices and, for each triangle between
+    two crossings, its turn direction and glue label.
+    """
+    chain, turns, glues = [start], [], []
+    sides = _triangle_sides(tri, start)
+    for j, c in enumerate(crossings):
+        idx = chain[-1]
+        if c not in sides:
+            raise NonAdjacentCrossings(
+                "crossing %r is not a side of triangle %d" % (c, idx))
+        if j:
+            turn, glue = _turn_and_glue(tri, idx, crossings[j - 1], c)
+            turns.append(turn)
+            glues.append(glue)
+        chain.append(tri.flip_over(idx, c))
+        sides = tri.triangles[chain[-1]]
+    return chain, turns, glues
+
+
 def arc_layout(tri, curve):
     """Unfold an arc's crossing sequence into a Layout."""
     crossings = curve.crossings
@@ -377,22 +410,11 @@ def arc_layout(tri, curve):
     _check_crossing_repeats(tri, crossings)
     if curve.start_triangle is None or curve.end_triangle is None:
         raise ValidationError("arcs need start and end triangles")
-    chain = [curve.start_triangle]
-    for c in crossings:
-        if c not in tri.triangles[chain[-1]]:
-            raise NonAdjacentCrossings(
-                "crossing %r is not a side of triangle %d" % (c, chain[-1]))
-        chain.append(tri.flip_over(chain[-1], c))
+    chain, turns, glues = _unfold(tri, curve.start_triangle, crossings)
     if chain[-1] != curve.end_triangle:
         raise NonAdjacentCrossings(
             "crossing sequence ends in triangle %d, not %d"
             % (chain[-1], curve.end_triangle))
-    turns, glues = [], []
-    for j in range(len(crossings) - 1):
-        turn, glue = _turn_and_glue(
-            tri, chain[j + 1], crossings[j], crossings[j + 1])
-        turns.append(turn)
-        glues.append(glue)
     a, b = _first_corners(tri, chain[0], crossings[0])
     w, z = _last_corners(tri, chain[-1], crossings[-1])
     return Layout(chain, turns, _turns_to_shapes(turns), glues,
@@ -415,12 +437,13 @@ def loop_layout(tri, curve):
     if curve.basepoint_triangle is None:
         raise ValidationError("loops need a basepoint triangle")
     base = curve.basepoint_triangle
-    sides = tri.triangles[base]
+    sides = _triangle_sides(tri, base)
     if crossings[0] not in sides or crossings[-1] not in sides:
         raise NonAdjacentCrossings(
             "basepoint triangle %d does not contain the closing pair"
             % (base,))
-    if not tri.is_self_folded_triangle(base):
+    folded = tri.self_folded_record(base)
+    if folded is None:
         if tri.cw_successor(base, crossings[-1]) == crossings[0]:
             pass
         elif tri.cw_successor(base, crossings[0]) == crossings[-1]:
@@ -433,25 +456,14 @@ def loop_layout(tri, curve):
     if crossings[0] == crossings[-1]:
         raise NonAdjacentCrossings(
             "loop closes across a repeated crossing")
-    chain = [base]
-    for c in crossings:
-        if c not in tri.triangles[chain[-1]]:
-            raise NonAdjacentCrossings(
-                "crossing %r is not a side of triangle %d" % (c, chain[-1]))
-        chain.append(tri.flip_over(chain[-1], c))
+    chain, turns, glues = _unfold(tri, base, crossings)
     if chain[-1] != base:
         raise NonAdjacentCrossings(
             "loop does not close up: chain ends in triangle %d" % chain[-1])
-    turns, glues = [], []
-    for j in range(len(crossings) - 1):
-        turn, glue = _turn_and_glue(
-            tri, chain[j + 1], crossings[j], crossings[j + 1])
-        turns.append(turn)
-        glues.append(glue)
-    if tri.is_self_folded_triangle(base):
-        cut = tri.self_folded_record(base)["radius"]
-    else:
+    if folded is None:
         cut = tri.third_side(base, crossings[-1], crossings[0])
+    else:
+        cut = folded["radius"]
     return Layout(chain, turns, _turns_to_shapes(turns), glues,
                   list(crossings), cut=cut, closed=True)
 
@@ -472,6 +484,18 @@ def build_band_graph(tri, curve):
     return BandGraph(
         [v(c) for c in lay.diagonals], lay.shapes,
         [v(g) for g in lay.glues], cut_label=v(lay.cut))
+
+
+def graph_for(tri, curve):
+    """The snake graph of an arc or the band graph of a loop; other
+    kinds have neither."""
+    if curve.kind == "arc":
+        return build_snake_graph(tri, curve)
+    if curve.kind == "loop":
+        return build_band_graph(tri, curve)
+    raise ValidationError(
+        "curve %r of kind %r has no snake or band graph"
+        % (curve.name or "?", curve.kind))
 
 
 # -- expansion -------------------------------------------------------------
@@ -573,13 +597,8 @@ def expand(tri, curve, keep_boundary=False, rel=1):
                 if e:
                     term = term.mul(Mono({("y", a): 2 * e}))
         return _finish(tri, Poly.one() + Poly.from_mono(term), keep_boundary)
-    if curve.kind == "arc":
-        g = build_snake_graph(tri, curve)
-    else:
-        g = build_band_graph(tri, curve)
-    cross = (g.crossing_mono() if curve.kind == "arc"
-             else g.base.crossing_mono())
-    raw = g.enumerator_by_matchings(rel).div_mono(cross)
+    g = graph_for(tri, curve)
+    raw = g.enumerator_by_matchings(rel).div_mono(g.crossing_mono())
     if curve.sign() < 0:
         raw = -raw
     return _finish(tri, raw, keep_boundary)
@@ -588,16 +607,8 @@ def expand(tri, curve, keep_boundary=False, rel=1):
 def expand_by_matrices(tri, curve, keep_boundary=False):
     """Expansion through the transfer-matrix product; used to cross-check
     the matching route. Only defined for plain arcs and loops."""
-    if curve.kind == "arc":
-        g = build_snake_graph(tri, curve)
-        cross = g.crossing_mono()
-    elif curve.kind == "loop":
-        g = build_band_graph(tri, curve)
-        cross = g.base.crossing_mono()
-    else:
-        raise ValidationError(
-            "matrix expansion only applies to arcs and loops")
-    raw = g.enumerator_by_matrices().div_mono(cross)
+    g = graph_for(tri, curve)
+    raw = g.enumerator_by_matrices().div_mono(g.crossing_mono())
     if curve.sign() < 0:
         raw = -raw
     return _finish(tri, raw, keep_boundary)
@@ -630,6 +641,8 @@ def triangulation_from_dict(doc):
             arcs.append(entry)
         elif isinstance(entry, dict):
             _reject_unknown(entry, {"name", "ends"}, "arc")
+            if "name" not in entry:
+                raise ValidationError("arc record %r has no name" % (entry,))
             arcs.append(entry["name"])
             if "ends" in entry:
                 ends[entry["name"]] = tuple(entry["ends"])
@@ -642,12 +655,17 @@ def triangulation_from_dict(doc):
             triangles.append(tuple(entry["sides"]))
         else:
             triangles.append(tuple(entry))
+    self_folded = doc.get("self_folded", [])
+    for entry in self_folded:
+        if not isinstance(entry, dict):
+            raise MalformedSelfFolded(
+                "self-folded record %r is not an object" % (entry,))
     tri = Triangulation(
         arcs=arcs,
         boundary=doc.get("boundary", []),
         punctures=doc.get("punctures", []),
         triangles=triangles,
-        self_folded=doc.get("self_folded", []),
+        self_folded=self_folded,
         arc_ends=ends,
     )
     return tri, [curve_from_dict(entry) for entry in doc.get("curves", [])]

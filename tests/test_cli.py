@@ -174,6 +174,41 @@ class TestErrors:
         assert err.startswith("DegenerateBand: ")
         assert err.count("\n") == 1
 
+    def test_bad_step_line_in_skein_check(self, tmp_path, capsys):
+        p = tmp_path / "steps.json"
+        doc = {"surface": json.loads(golden("annulus.json")),
+               "instance": {"variant": "ARC_ARC", "sigma1": "9 cw x:a"}}
+        p.write_text(json.dumps(doc), encoding="utf-8")
+        code, _ = run(["skein-check", str(p)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("StepFormatError: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("name,edit", [
+        ("annulus", lambda d: d["curves"][1].update(start_triangle=9)),
+        ("annulus", lambda d: d["curves"][1].update(start_triangle="3")),
+        ("annulus", lambda d: d["curves"][1].update(end_triangle="0")),
+        ("annulus", lambda d: d["curves"][0].update(basepoint_triangle=9)),
+        ("annulus", lambda d: d["arcs"].__setitem__(0, {"ends": []})),
+        ("annulus", lambda d: d["curves"][1].update(kinks="x")),
+        ("selffolded_disk", lambda d: d["self_folded"][0].pop("radius")),
+        ("selffolded_disk",
+         lambda d: d["self_folded"].__setitem__(0, ["l", "r", "p"])),
+    ], ids=["start-range", "start-type", "end-type", "basepoint-range",
+            "arc-without-name", "kinks-type", "self-folded-no-radius",
+            "self-folded-not-object"])
+    def test_malformed_input_is_one_line(self, tmp_path, capsys, name, edit):
+        doc = json.loads(golden(name + ".json"))
+        edit(doc)
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(doc), encoding="utf-8")
+        code, _ = run(["expand", str(p)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.split(": ")[0] in ("ParseError", "ValidationError")
+
     @pytest.mark.parametrize("argv", [
         ["bmatrix", "--seed", "5"],
         ["bmatrix", "--keep-boundary"],

@@ -8,7 +8,13 @@ module was written.
 import pytest
 
 from snakegraphs.algebra import Mono, Poly, parse_poly
-from snakegraphs.snakecore import DegenerateBand, EAST, NORTH
+from snakegraphs.snakecore import (
+    BandGraph,
+    DegenerateBand,
+    EAST,
+    NORTH,
+    SnakeGraph,
+)
 from snakegraphs.surface import (
     ArcInThreeTriangles,
     Curve,
@@ -22,6 +28,7 @@ from snakegraphs.surface import (
     build_band_graph,
     expand,
     expand_by_matrices,
+    graph_for,
     loop_layout,
     triangulation_from_dict,
 )
@@ -259,6 +266,20 @@ class TestGraphBuilders:
         assert g.cut_label == ("b", "b2")
         assert g.base.diagonals == (("x", "1"), ("x", "2"),
                                     ("x", "3"), ("x", "4"))
+
+    def test_graph_for_dispatches_on_kind(self):
+        t = annulus()
+        arc = graph_for(t, Curve("arc", crossings=["1"], start_triangle=3,
+                                 end_triangle=0))
+        band = graph_for(t, Curve("loop", crossings=["1", "2", "3", "4"],
+                                  basepoint_triangle=3))
+        assert isinstance(arc, SnakeGraph)
+        assert isinstance(band, BandGraph)
+        assert band.crossing_mono() == band.base.crossing_mono()
+        for kind in ("contractible_loop", "contractible_monogon_arc",
+                     "puncture_loop"):
+            with pytest.raises(ValidationError):
+                graph_for(t, Curve(kind))
 
 
 class TestJson:
