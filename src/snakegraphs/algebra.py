@@ -305,8 +305,8 @@ class Poly:
                 vals[v] = Mono.unit()
             else:
                 raise SubstituteNonMonomial(
-                    "substitution value for %s:%s must be 1 or a monomial"
-                    % v)
+                    "substitution value for %s must be 1 or a monomial"
+                    % format_var(v))
         out = {}
         for m, c in self._terms.items():
             acc = Mono.unit()

@@ -117,13 +117,9 @@ def _cmd_matchings(args, out):
     rows = []
     for curve in _pick_curves(curves, args.curve, args.max_tiles):
         g = graph_for(tri, curve)
-        if curve.kind == "loop":
-            pairs = [(w, h) for _, w, h in g.good_matchings()]
-        else:
-            minimal = g.minimal_matching()
-            pairs = [(g.weight_mono(m), g.height_mono(m, minimal))
-                     for m in g.perfect_matchings()]
-        for w, h in pairs:
+        triples = (g.good_matchings() if curve.kind == "loop"
+                   else g.weighted_matchings())
+        for _, w, h in triples:
             rows.append({
                 "curve": curve.name or "",
                 "x": format_mono(w),

@@ -21,6 +21,7 @@ from .algebra import (
     SnakeGraphsError,
     format_mono,
     format_poly,
+    format_var,
 )
 from .mpath import (
     CCW,
@@ -43,6 +44,8 @@ from .surface import (
     Curve,
     PuncturedSurface,
     ValidationError,
+    _reject_unknown,
+    _typed,
     curve_from_dict,
     expand,
     phi_substitution,
@@ -84,9 +87,7 @@ SELF_INTERSECTION = "SELF_INTERSECTION"
 def _random_poly(rng, vars_, max_terms=3):
     p = Poly.zero()
     for _ in range(rng.randint(1, max_terms)):
-        m = Mono.unit()
-        for v in vars_:
-            m = m.mul(Mono({v: 2 * rng.randint(-1, 1)}))
+        m = Mono({v: 2 * rng.randint(-1, 1) for v in vars_})
         p = p + Poly.from_mono(m, rng.randint(-3, 3))
     return p
 
@@ -287,7 +288,8 @@ def _lower_coeffs(tri, mono):
     for v, e in m.items():
         if e % 2:
             raise NotAMonomialCoefficient(
-                "coefficient exponent of %s:%s is half-integral" % v)
+                "coefficient exponent of %s is half-integral"
+                % format_var(v))
     return m
 
 
@@ -565,7 +567,8 @@ def ptolemy_check(tri, eta_label, theta_curve):
         for v, e in coeff.items():
             if e % 2:
                 raise NotAMonomialCoefficient(
-                    "coefficient exponent of %s:%s is half-integral" % v)
+                    "coefficient exponent of %s is half-integral"
+                    % format_var(v))
         out.append((coeff, sides))
     check = Poly.zero()
     for coeff, sides in out:
@@ -588,13 +591,10 @@ def instance_from_dict(doc, named_curves=()):
     ``named_curves``."""
     if not isinstance(doc, dict):
         raise ValidationError("instance document must be an object")
-    extra = set(doc) - _INSTANCE_KEYS
-    if extra:
-        raise ValidationError(
-            "unknown instance keys: %s" % ", ".join(sorted(extra)))
+    _reject_unknown(doc, _INSTANCE_KEYS, "instance")
     by_name = {c.name: c for c in named_curves if c.name}
     curves = {}
-    for role, val in doc.get("curves", {}).items():
+    for role, val in _typed(doc, "curves", dict, {}).items():
         if isinstance(val, str):
             if val not in by_name:
                 raise ValidationError("unknown curve name %r" % (val,))
@@ -603,13 +603,15 @@ def instance_from_dict(doc, named_curves=()):
             curves[role] = curve_from_dict(val)
         else:
             raise ValidationError("bad curve reference %r" % (val,))
+    if doc.get("lamination_counts") is not None:
+        _typed(doc, "lamination_counts", dict, None)
     return SkeinInstance(
         variant=doc.get("variant"),
         curves=curves,
-        sigma1=parse_steps(doc.get("sigma1", "")),
-        sigma2=parse_steps(doc.get("sigma2", "")),
+        sigma1=parse_steps(_typed(doc, "sigma1", str, "")),
+        sigma2=parse_steps(_typed(doc, "sigma2", str, "")),
         split_index=doc.get("split_index", 0),
         loop_rotation=doc.get("loop_rotation", 0),
-        insert_steps=parse_steps(doc.get("insert", "")),
+        insert_steps=parse_steps(_typed(doc, "insert", str, "")),
         lamination_counts=doc.get("lamination_counts"),
     )

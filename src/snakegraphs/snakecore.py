@@ -30,9 +30,10 @@ Grid conventions (frozen, everything else depends on them):
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import NamedTuple
 
-from .algebra import Mat2, Mono, Poly, SnakeGraphsError
+from .algebra import Mat2, Mono, Poly, SnakeGraphsError, format_var
 
 NORTH = "N"
 EAST = "E"
@@ -63,6 +64,18 @@ class StepFormatError(MPathError):
 def _curly(vid):
     """The per-tile coefficient variable attached to a diagonal label."""
     return ("Y", vid[1])
+
+
+def _monomial(vids):
+    """The product of the given variables; a repeated variable is raised
+    to its multiplicity."""
+    return Mono({v: 2 * k for v, k in Counter(vids).items()})
+
+
+def _matching_sum(rows):
+    """The sum of weight times height over (matching, weight, height)
+    rows."""
+    return Poly(Counter(w.mul(h) for _, w, h in rows))
 
 
 # -- elementary steps --------------------------------------------------------
@@ -346,10 +359,7 @@ class SnakeGraph:
         return with_a[0] if rel == 1 else without[0]
 
     def weight_mono(self, matching):
-        m = Mono.unit()
-        for key in matching:
-            m = m.mul(Mono({self.edge_labels[key]: 2}))
-        return m
+        return _monomial(self.edge_labels[key] for key in matching)
 
     def height_mono(self, matching, minimal):
         """Height of a matching relative to the minimal one.
@@ -360,20 +370,24 @@ class SnakeGraph:
         """
         diff = set(matching) ^ set(minimal)
         verticals = [key for key in diff if key[0][0] == key[1][0]]
-        out = Mono.unit()
-        for j in range(self.d):
-            px, py = self.positions[j]
+        enclosed = []
+        for vid, (px, py) in zip(self.diagonals, self.positions):
             hits = sum(1 for (v1, v2) in verticals
                        if v1[0] > px and min(v1[1], v2[1]) == py)
             if hits % 2:
-                out = out.mul(Mono({_curly(self.diagonals[j]): 2}))
-        return out
+                enclosed.append(_curly(vid))
+        return _monomial(enclosed)
+
+    def weighted_matchings(self, rel=1):
+        """(matching, weight, height) for every perfect matching, in the
+        order of ``perfect_matchings``; the one source of matching
+        terms."""
+        minimal = self.minimal_matching(rel)
+        return [(m, self.weight_mono(m), self.height_mono(m, minimal))
+                for m in self.perfect_matchings(rel)]
 
     def crossing_mono(self):
-        m = Mono.unit()
-        for vid in self.diagonals:
-            m = m.mul(Mono({vid: 2}))
-        return m
+        return _monomial(self.diagonals)
 
     def corner_partition_sums(self, rel=1):
         """Split the matching sum by which corner edges a matching uses.
@@ -385,35 +399,19 @@ class SnakeGraph:
         matrix: returns (top_left, top_right, bottom_left, bottom_right)
         for the classes using (a,w), (b,w), (a,z), (b,z) respectively.
         """
-        minimal = self.minimal_matching(rel)
-        sums = {"aw": Poly.zero(), "bw": Poly.zero(),
-                "az": Poly.zero(), "bz": Poly.zero()}
-        for m in self.perfect_matchings(rel):
+        rows = {"aw": [], "bw": [], "az": [], "bz": []}
+        for row in self.weighted_matchings(rel):
+            m = row[0]
             key = ("a" if self.edge_key_a in m else "b") + \
                   ("w" if self.edge_key_w in m else "z")
-            sums[key] = sums[key] + Poly.from_mono(
-                self.weight_mono(m).mul(self.height_mono(m, minimal)))
-        def prod(vids):
-            m = Mono.unit()
-            for v in vids:
-                m = m.mul(Mono({v: 2}))
-            return m
-
-        drop_last = prod(self.diagonals[:-1])
-        drop_first = prod(self.diagonals[1:])
-        drop_both = prod(self.diagonals[1:-1])
-        full = prod(self.diagonals)
-        ylast = Mono({_curly(self.diagonals[-1]): 2})
-        den_aw = drop_last.mul(Mono({self.corner_a: 2, self.corner_w: 2}))
-        den_bw = drop_both.mul(Mono({self.corner_b: 2, self.corner_w: 2}))
-        den_az = full.mul(
-            Mono({self.corner_a: 2, self.corner_z: 2})).mul(ylast)
-        den_bz = drop_first.mul(
-            Mono({self.corner_b: 2, self.corner_z: 2})).mul(ylast)
-        return (sums["aw"].div_mono(den_aw),
-                sums["bw"].div_mono(den_bw),
-                sums["az"].div_mono(den_az),
-                sums["bz"].div_mono(den_bz))
+            rows[key].append(row)
+        dg = self.diagonals
+        a, b, w, z = self.corner_a, self.corner_b, self.corner_w, self.corner_z
+        ylast = _curly(dg[-1])
+        dens = {"aw": dg[:-1] + (a, w), "bw": dg[1:-1] + (b, w),
+                "az": dg + (a, z, ylast), "bz": dg[1:] + (b, z, ylast)}
+        return tuple(_matching_sum(rows[key]).div_mono(_monomial(dens[key]))
+                     for key in ("aw", "bw", "az", "bz"))
 
     # -- matrix route ------------------------------------------------------
 
@@ -464,12 +462,7 @@ class SnakeGraph:
         return Poly.from_mono(self.crossing_mono()) * prod.upper_right()
 
     def enumerator_by_matchings(self, rel=1):
-        minimal = self.minimal_matching(rel)
-        total = Poly.zero()
-        for m in self.perfect_matchings(rel):
-            total = total + Poly.from_mono(
-                self.weight_mono(m).mul(self.height_mono(m, minimal)))
-        return total
+        return _matching_sum(self.weighted_matchings(rel))
 
     # -- output ------------------------------------------------------------
 
@@ -479,12 +472,14 @@ class SnakeGraph:
             lines.append('  "%d,%d";' % v)
         for key in sorted(self.edge_labels):
             (x1, y1), (x2, y2) = key
-            lines.append('  "%d,%d" -- "%d,%d" [label="%s:%s"];'
-                         % (x1, y1, x2, y2, *self.edge_labels[key]))
+            lines.append('  "%d,%d" -- "%d,%d" [label="%s"];'
+                         % (x1, y1, x2, y2,
+                            format_var(self.edge_labels[key])))
         for j in range(self.d):
             px, py = self.positions[j]
-            lines.append('  "%d,%d" -- "%d,%d" [style=dashed, label="%s:%s"];'
-                         % (px, py + 1, px + 1, py, *self.diagonals[j]))
+            lines.append('  "%d,%d" -- "%d,%d" [style=dashed, label="%s"];'
+                         % (px, py + 1, px + 1, py,
+                            format_var(self.diagonals[j])))
         lines.append("}")
         return "\n".join(lines) + "\n"
 
@@ -543,28 +538,21 @@ class BandGraph:
         (first-corner b together with w) never descends.
         """
         base = self.base
-        minimal = base.minimal_matching(rel)
+        cut = Mono({self.cut_label: -2})
         out = []
-        for m in base.perfect_matchings(rel):
+        for m, w, h in base.weighted_matchings(rel):
             cls = self._classify(m)
             if cls == "B":
                 continue
-            if cls in ("A", "C"):
-                edges = frozenset(m - {base.edge_key_a})
-            else:
-                edges = frozenset(m - {base.edge_key_z})
-            weight = base.weight_mono(m).mul(Mono({self.cut_label: -2}))
-            out.append((edges, weight, base.height_mono(m, minimal)))
+            dropped = base.edge_key_z if cls == "D" else base.edge_key_a
+            out.append((m - {dropped}, w.mul(cut), h))
         return out
 
     def crossing_mono(self):
         return self.base.crossing_mono()
 
     def enumerator_by_matchings(self, rel=1):
-        total = Poly.zero()
-        for _, w, h in self.good_matchings(rel):
-            total = total + Poly.from_mono(w.mul(h))
-        return total
+        return _matching_sum(self.good_matchings(rel))
 
     def step_groups(self):
         """The standard step sequence of the loop, grouped: one group per
@@ -645,12 +633,7 @@ class BandGraph:
             ex, ey = at_x[0], at_y[0]
             if (ex in last_side) == (ey in last_side):
                 good.append(m)
-        out = []
-        for m in good:
-            w = Mono.unit()
-            for eid in m:
-                w = w.mul(Mono({edges[eid][1]: 2}))
-            out.append((m, w))
+        out = [(m, _monomial(edges[eid][1] for eid in m)) for m in good]
         return sorted(out, key=lambda it: sorted(map(str, it[0])))
 
     def to_dot(self):

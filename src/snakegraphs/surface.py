@@ -591,11 +591,8 @@ def expand(tri, curve, keep_boundary=False, rel=1):
             notched = tri.notched_label(sf["radius"], sf["puncture"])
             term = Mono({("y", sf["radius"]): 2, ("y", notched): -2})
         else:
-            term = Mono.unit()
-            for a in tri.arcs:
-                e = tri.endpoint_count(a, p)
-                if e:
-                    term = term.mul(Mono({("y", a): 2 * e}))
+            term = Mono({("y", a): 2 * tri.endpoint_count(a, p)
+                         for a in tri.arcs})
         return _finish(tri, Poly.one() + Poly.from_mono(term), keep_boundary)
     g = graph_for(tri, curve)
     raw = g.enumerator_by_matchings(rel).div_mono(g.crossing_mono())
@@ -621,6 +618,7 @@ _SURFACE_KEYS = {"arcs", "boundary", "punctures", "triangles",
                  "self_folded", "curves"}
 _CURVE_KEYS = {"name", "kind", "crossings", "start_triangle",
                "end_triangle", "basepoint_triangle", "kinks", "puncture"}
+_JSON_TYPE_NAMES = {list: "list", dict: "object", str: "string"}
 
 
 def _reject_unknown(d, allowed, what):
@@ -630,45 +628,54 @@ def _reject_unknown(d, allowed, what):
             "unknown %s keys: %s" % (what, ", ".join(sorted(extra))))
 
 
+def _typed(d, key, kind, default):
+    """``d[key]``, or ``default`` when the key is absent; a value that is
+    not of the JSON type ``kind`` is refused."""
+    value = d.get(key, default)
+    if not isinstance(value, kind):
+        raise ValidationError("%r must be a %s, not %r"
+                              % (key, _JSON_TYPE_NAMES[kind], value))
+    return value
+
+
 def triangulation_from_dict(doc):
     """Build a triangulation (and named curves) from a JSON document."""
     if not isinstance(doc, dict):
         raise ValidationError("surface document must be an object")
     _reject_unknown(doc, _SURFACE_KEYS, "surface")
     arcs, ends = [], {}
-    for entry in doc.get("arcs", []):
+    for entry in _typed(doc, "arcs", list, []):
         if isinstance(entry, str):
             arcs.append(entry)
         elif isinstance(entry, dict):
             _reject_unknown(entry, {"name", "ends"}, "arc")
-            if "name" not in entry:
-                raise ValidationError("arc record %r has no name" % (entry,))
-            arcs.append(entry["name"])
+            name = _typed(entry, "name", str, None)
+            arcs.append(name)
             if "ends" in entry:
-                ends[entry["name"]] = tuple(entry["ends"])
+                ends[name] = tuple(_typed(entry, "ends", list, None))
         else:
             raise ValidationError("bad arc entry %r" % (entry,))
     triangles = []
-    for entry in doc.get("triangles", []):
-        if isinstance(entry, dict):
-            _reject_unknown(entry, {"sides"}, "triangle")
-            triangles.append(tuple(entry["sides"]))
-        else:
-            triangles.append(tuple(entry))
-    self_folded = doc.get("self_folded", [])
+    for entry in _typed(doc, "triangles", list, []):
+        if not isinstance(entry, dict):
+            entry = {"sides": entry}
+        _reject_unknown(entry, {"sides"}, "triangle")
+        triangles.append(tuple(_typed(entry, "sides", list, None)))
+    self_folded = _typed(doc, "self_folded", list, [])
     for entry in self_folded:
         if not isinstance(entry, dict):
             raise MalformedSelfFolded(
                 "self-folded record %r is not an object" % (entry,))
     tri = Triangulation(
         arcs=arcs,
-        boundary=doc.get("boundary", []),
-        punctures=doc.get("punctures", []),
+        boundary=_typed(doc, "boundary", list, []),
+        punctures=_typed(doc, "punctures", list, []),
         triangles=triangles,
         self_folded=self_folded,
         arc_ends=ends,
     )
-    return tri, [curve_from_dict(entry) for entry in doc.get("curves", [])]
+    return tri, [curve_from_dict(entry)
+                 for entry in _typed(doc, "curves", list, [])]
 
 
 def curve_from_dict(entry):
@@ -678,7 +685,7 @@ def curve_from_dict(entry):
     _reject_unknown(entry, _CURVE_KEYS, "curve")
     return Curve(
         kind=entry.get("kind", "arc"),
-        crossings=entry.get("crossings", []),
+        crossings=_typed(entry, "crossings", list, []),
         start_triangle=entry.get("start_triangle"),
         end_triangle=entry.get("end_triangle"),
         basepoint_triangle=entry.get("basepoint_triangle"),

@@ -105,6 +105,30 @@ class TestOtherVerbs:
         assert sum(1 for l in lines if l.startswith("core:")) == 6
         assert sum(1 for l in lines if l.startswith("bridge:")) == 2
 
+    @pytest.mark.parametrize("name,expected", [
+        ("annulus",
+         "core: x(P)=x:1^2*x:2*x:4 y(P)=1\n"
+         "core: x(P)=x:1^2*b:b3*b:b4 y(P)=Y:3\n"
+         "core: x(P)=x:1*x:3*b:b1*b:b3 y(P)=Y:2*Y:3\n"
+         "core: x(P)=x:1*x:3*b:b2*b:b4 y(P)=Y:3*Y:4\n"
+         "core: x(P)=x:3^2*b:b1*b:b2 y(P)=Y:2*Y:3*Y:4\n"
+         "core: x(P)=x:2*x:3^2*x:4 y(P)=Y:1*Y:2*Y:3*Y:4\n"
+         "bridge: x(P)=b:b1*b:b2 y(P)=1\n"
+         "bridge: x(P)=x:2*x:4 y(P)=Y:1\n"),
+        ("hexagon",
+         "short-chord: x(P)=b:0-1*b:2-3 y(P)=1\n"
+         "short-chord: x(P)=x:0-3*b:1-2 y(P)=Y:0-2\n"
+         "long-chord: x(P)=x:0-2*x:0-3*b:0-1*b:4-5 y(P)=1\n"
+         "long-chord: x(P)=x:0-2*b:0-1*b:0-5*b:3-4 y(P)=Y:0-4\n"
+         "long-chord: x(P)=x:0-4*b:0-1*b:0-5*b:2-3 y(P)=Y:0-3*Y:0-4\n"
+         "long-chord: x(P)=x:0-3*x:0-4*b:0-5*b:1-2"
+         " y(P)=Y:0-2*Y:0-3*Y:0-4\n"),
+    ])
+    def test_matchings_text(self, name, expected):
+        code, text = run(["matchings", fixture(name + ".json")])
+        assert code == 0
+        assert text == expected
+
     def test_snake_dot(self):
         code, text = run(["snake-dot", "--curve", "bridge",
                           fixture("annulus.json")])
@@ -195,15 +219,39 @@ class TestErrors:
         ("selffolded_disk", lambda d: d["self_folded"][0].pop("radius")),
         ("selffolded_disk",
          lambda d: d["self_folded"].__setitem__(0, ["l", "r", "p"])),
+        ("annulus", lambda d: d["triangles"].__setitem__(0, 5)),
+        ("annulus", lambda d: d["triangles"].__setitem__(0, {})),
+        ("annulus", lambda d: d.update(arcs=3)),
+        ("annulus", lambda d: d.update(boundary=3)),
+        ("annulus", lambda d: d.update(punctures=3)),
+        ("annulus", lambda d: d.update(self_folded=3)),
+        ("annulus", lambda d: d.update(curves=3)),
+        ("annulus", lambda d: d["curves"][0].update(crossings=3)),
+        ("annulus",
+         lambda d: d["arcs"].__setitem__(0, {"name": "1", "ends": 3})),
+        ("annulus", lambda d: d["arcs"].__setitem__(0, {"name": ["1"]})),
+        ("skein_octagon", lambda d: d["instance"].update(curves=3)),
+        ("skein_octagon", lambda d: d["instance"].update(sigma1=5)),
+        ("skein_octagon", lambda d: d["instance"].update(sigma2=5)),
+        ("skein_octagon", lambda d: d["instance"].update(insert=5)),
+        ("skein_octagon",
+         lambda d: d["instance"].update(lamination_counts=3)),
     ], ids=["start-range", "start-type", "end-type", "basepoint-range",
             "arc-without-name", "kinks-type", "self-folded-no-radius",
-            "self-folded-not-object"])
+            "self-folded-not-object", "triangle-number",
+            "triangle-without-sides", "arcs-number", "boundary-number",
+            "punctures-number", "self-folded-number", "curves-number",
+            "crossings-number", "ends-number", "arc-name-list",
+            "instance-curves-number", "sigma1-number", "sigma2-number",
+            "insert-number", "lamination-counts-number"])
     def test_malformed_input_is_one_line(self, tmp_path, capsys, name, edit):
         doc = json.loads(golden(name + ".json"))
         edit(doc)
         p = tmp_path / "bad.json"
         p.write_text(json.dumps(doc), encoding="utf-8")
-        code, _ = run(["expand", str(p)])
+        # the skein fixture is a skein-check document, the others surfaces
+        verb = "skein-check" if name == "skein_octagon" else "expand"
+        code, _ = run([verb, str(p)])
         assert code == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1

@@ -18,6 +18,7 @@ from snakegraphs.snakecore import (
     DegenerateBand,
     LengthMismatch,
     SnakeGraph,
+    _matching_sum,
 )
 
 
@@ -158,6 +159,46 @@ class TestMatrixRoute:
             tl, tr, bl, br = g.corner_partition_sums()
             m = g.transfer_matrix()
             assert (tl, tr, bl, br) == (m.a, m.b, m.c, m.d)
+
+    @pytest.mark.parametrize("shapes,corner,same_as", [
+        ([], "w", "a"),
+        ([NORTH, EAST], "z", "b"),
+    ])
+    def test_corner_partition_with_coinciding_corners(self, shapes, corner,
+                                                      same_as):
+        # one corner label standing for two corner edges must divide twice
+        d = len(shapes) + 1
+        corners = {k: bv(k) for k in "abwz"}
+        corners[corner] = corners[same_as]
+        g = SnakeGraph(
+            [xv("i%d" % (j + 1)) for j in range(d)], shapes,
+            [xv("g%d" % (j + 1)) for j in range(d - 1)],
+            **{"corner_" + k: v for k, v in corners.items()})
+        m = g.transfer_matrix()
+        assert g.corner_partition_sums() == (m.a, m.b, m.c, m.d)
+
+
+class TestWeightedMatchings:
+    def test_rows_follow_perfect_matchings(self):
+        rng = random.Random(16)
+        for _ in range(20):
+            g, _ = random_snake(rng)
+            for rel in (1, -1):
+                minimal = g.minimal_matching(rel)
+                assert g.weighted_matchings(rel) == [
+                    (m, g.weight_mono(m), g.height_mono(m, minimal))
+                    for m in g.perfect_matchings(rel)]
+
+    def test_matching_sum_is_the_enumerator(self):
+        rng = random.Random(17)
+        for _ in range(20):
+            g, _ = random_snake(rng)
+            rows = g.weighted_matchings()
+            expected = Poly.zero()
+            for _, w, h in rows:
+                expected = expected + Poly.from_mono(w.mul(h))
+            assert _matching_sum(rows) == expected
+            assert g.enumerator_by_matchings() == expected
 
 
 ANNULUS_DIAGONALS = [xv("1"), xv("2"), xv("3"), xv("4")]
