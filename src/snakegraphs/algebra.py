@@ -15,7 +15,6 @@ prints as power 1, a stored exponent of 1 prints as ^(1/2), and so on.
 
 from __future__ import annotations
 
-import functools
 import re
 
 KINDS = ("x", "y", "Y", "b")
@@ -58,6 +57,29 @@ def _var_key(v):
     return (_KIND_ORDER[v[0]], v[1])
 
 
+def _item_key(item):
+    # One call per item: _var_key(item[0]) behind a lambda would be two.
+    return (_KIND_ORDER[item[0][0]], item[0][1])
+
+
+def _sorted_items(d):
+    """The nonzero (variable, exponent) pairs of ``d`` in variable order."""
+    return tuple(sorted([it for it in d.items() if it[1]], key=_item_key))
+
+
+def _add_power2(d, m, exp2):
+    """Add the doubled exponents of m^(exp2/2) into ``d`` and return it.
+    Requires the power to be an exact Laurent monomial."""
+    for v, e in m._items:
+        num = e * exp2
+        if num % 2:
+            raise SubstituteNonMonomial(
+                "power %s/2 of %s is not an exact Laurent monomial"
+                % (exp2, format_mono(m)))
+        d[v] = d.get(v, 0) + num // 2
+    return d
+
+
 class Mono:
     """A Laurent monomial: a finite map from variables to doubled exponents.
 
@@ -71,11 +93,18 @@ class Mono:
         for v, e in dict(items).items():
             if v[0] not in _KIND_ORDER:
                 raise AlgebraError("unknown variable kind %r" % (v[0],))
-            e = int(e)
-            if e:
-                d[v] = e
-        self._items = tuple(sorted(d.items(), key=lambda it: _var_key(it[0])))
+            d[v] = int(e)
+        self._items = _sorted_items(d)
         self._hash = hash(self._items)
+
+    @classmethod
+    def _trusted(cls, d):
+        """Build from a dict whose variables and integer exponents came
+        out of other monomials, so nothing is checked again."""
+        m = cls.__new__(cls)
+        m._items = _sorted_items(d)
+        m._hash = hash(m._items)
+        return m
 
     @classmethod
     def unit(cls):
@@ -111,22 +140,14 @@ class Mono:
         d = dict(self._items)
         for v, e in other._items:
             d[v] = d.get(v, 0) + e
-        return Mono(d)
+        return Mono._trusted(d)
 
     def inverse(self):
-        return Mono({v: -e for v, e in self._items})
+        return Mono._trusted({v: -e for v, e in self._items})
 
     def power2(self, exp2):
         """Raise to the power exp2/2. Requires the result to be integral."""
-        d = {}
-        for v, e in self._items:
-            num = e * exp2
-            if num % 2:
-                raise SubstituteNonMonomial(
-                    "power %s/2 of %s is not an exact Laurent monomial"
-                    % (exp2, format_mono(self)))
-            d[v] = num // 2
-        return Mono(d)
+        return Mono._trusted(_add_power2({}, self, exp2))
 
     def __eq__(self, other):
         return isinstance(other, Mono) and self._items == other._items
@@ -136,34 +157,6 @@ class Mono:
 
     def __repr__(self):
         return "Mono(%s)" % format_mono(self)
-
-
-def _mono_cmp(a, b):
-    """Graded lexicographic comparison; the greater monomial sorts first."""
-    da, db = a.degree2(), b.degree2()
-    if da != db:
-        return -1 if da > db else 1
-    ia, ib = a.items(), b.items()
-    i = j = 0
-    while i < len(ia) or j < len(ib):
-        va = _var_key(ia[i][0]) if i < len(ia) else None
-        vb = _var_key(ib[j][0]) if j < len(ib) else None
-        if vb is None or (va is not None and va < vb):
-            ea, eb = ia[i][1], 0
-            i += 1
-        elif va is None or vb < va:
-            ea, eb = 0, ib[j][1]
-            j += 1
-        else:
-            ea, eb = ia[i][1], ib[j][1]
-            i += 1
-            j += 1
-        if ea != eb:
-            return -1 if ea > eb else 1
-    return 0
-
-
-_MONO_SORT_KEY = functools.cmp_to_key(_mono_cmp)
 
 
 class Poly:
@@ -207,9 +200,20 @@ class Poly:
         return cls.from_mono(Mono.of(kind, label, exp2))
 
     def terms(self):
-        """Terms in canonical (graded lexicographic) order."""
-        return [(m, self._terms[m]) for m in
-                sorted(self._terms, key=_MONO_SORT_KEY)]
+        """Terms in canonical (graded lexicographic) order: higher total
+        degree first, ties broken by the exponents read in variable
+        order, a higher exponent first."""
+        index = {v: i for i, v in enumerate(self.variables(), 1)}
+        width = len(index) + 1
+
+        def key(m):
+            vec = [0] * width
+            for v, e in m._items:
+                vec[0] -= e
+                vec[index[v]] = -e
+            return vec
+
+        return [(m, self._terms[m]) for m in sorted(self._terms, key=key)]
 
     def coefficient(self, m):
         return self._terms.get(m, 0)
@@ -296,25 +300,27 @@ class Poly:
         Laurent ring.
         """
         vals = {}
+        unit = Mono.unit()
         for v, val in mapping.items():
             if isinstance(val, Mono):
                 vals[v] = val
             elif isinstance(val, Poly):
                 vals[v] = val.as_mono()
             elif val == 1:
-                vals[v] = Mono.unit()
+                vals[v] = unit
             else:
                 raise SubstituteNonMonomial(
                     "substitution value for %s must be 1 or a monomial"
                     % format_var(v))
         out = {}
         for m, c in self._terms.items():
-            acc = Mono.unit()
-            for v, e in m.items():
+            d = {}
+            for v, e in m._items:
                 if v in vals:
-                    acc = acc.mul(vals[v].power2(e))
+                    _add_power2(d, vals[v], e)
                 else:
-                    acc = acc.mul(Mono({v: e}))
+                    d[v] = d.get(v, 0) + e
+            acc = Mono._trusted(d)
             out[acc] = out.get(acc, 0) + c
         return Poly(out)
 

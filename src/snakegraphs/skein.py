@@ -604,7 +604,13 @@ def instance_from_dict(doc, named_curves=()):
         else:
             raise ValidationError("bad curve reference %r" % (val,))
     if doc.get("lamination_counts") is not None:
-        _typed(doc, "lamination_counts", dict, None)
+        for role, counts in _typed(doc, "lamination_counts", dict,
+                                   None).items():
+            if not isinstance(counts, dict) or not all(
+                    type(n) is int for n in counts.values()):
+                raise ValidationError(
+                    "lamination counts of %r must map labels to integers, "
+                    "not %r" % (role, counts))
     return SkeinInstance(
         variant=doc.get("variant"),
         curves=curves,

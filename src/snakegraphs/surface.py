@@ -638,6 +638,17 @@ def _typed(d, key, kind, default):
     return value
 
 
+def _labels(d, key, default):
+    """``_typed(d, key, list, default)``, refusing an entry that is not a
+    string label."""
+    labels = _typed(d, key, list, default)
+    for label in labels:
+        if not isinstance(label, str):
+            raise ValidationError("%r must hold string labels, not %r"
+                                  % (key, label))
+    return labels
+
+
 def triangulation_from_dict(doc):
     """Build a triangulation (and named curves) from a JSON document."""
     if not isinstance(doc, dict):
@@ -652,7 +663,7 @@ def triangulation_from_dict(doc):
             name = _typed(entry, "name", str, None)
             arcs.append(name)
             if "ends" in entry:
-                ends[name] = tuple(_typed(entry, "ends", list, None))
+                ends[name] = tuple(_labels(entry, "ends", None))
         else:
             raise ValidationError("bad arc entry %r" % (entry,))
     triangles = []
@@ -660,16 +671,18 @@ def triangulation_from_dict(doc):
         if not isinstance(entry, dict):
             entry = {"sides": entry}
         _reject_unknown(entry, {"sides"}, "triangle")
-        triangles.append(tuple(_typed(entry, "sides", list, None)))
+        triangles.append(tuple(_labels(entry, "sides", None)))
     self_folded = _typed(doc, "self_folded", list, [])
     for entry in self_folded:
         if not isinstance(entry, dict):
             raise MalformedSelfFolded(
                 "self-folded record %r is not an object" % (entry,))
+        for key in entry:
+            _typed(entry, key, str, None)
     tri = Triangulation(
         arcs=arcs,
-        boundary=_typed(doc, "boundary", list, []),
-        punctures=_typed(doc, "punctures", list, []),
+        boundary=_labels(doc, "boundary", []),
+        punctures=_labels(doc, "punctures", []),
         triangles=triangles,
         self_folded=self_folded,
         arc_ends=ends,

@@ -5,10 +5,13 @@ before the implementation existed, so they act as an independent check on
 the canonical form rather than a snapshot of it.
 """
 
+import functools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from snakegraphs.algebra import (
+    KINDS,
     Mat2,
     Mono,
     NotUnimodular,
@@ -38,6 +41,60 @@ def poly_strategy():
 
 
 polys = poly_strategy()
+
+# Every kind, labels whose string order differs from their numeric order,
+# and negative and odd (half-integer) doubled exponents.
+WIDE_VARS = [(k, lbl) for k in KINDS for lbl in ("1", "10", "2", "a", "0-2")]
+wide_dicts = st.dictionaries(st.sampled_from(WIDE_VARS), st.integers(-5, 5),
+                             max_size=6)
+wide_monos = wide_dicts.map(Mono)
+wide_polys = st.dictionaries(wide_monos, st.integers(-3, 3),
+                             max_size=8).map(Poly)
+
+
+def _reference_var_key(v):
+    return (KINDS.index(v[0]), v[1])
+
+
+def _reference_cmp(a, b):
+    """Graded lexicographic comparison; the greater monomial sorts first."""
+    da, db = a.degree2(), b.degree2()
+    if da != db:
+        return -1 if da > db else 1
+    ia, ib = a.items(), b.items()
+    i = j = 0
+    while i < len(ia) or j < len(ib):
+        va = _reference_var_key(ia[i][0]) if i < len(ia) else None
+        vb = _reference_var_key(ib[j][0]) if j < len(ib) else None
+        if vb is None or (va is not None and va < vb):
+            ea, eb = ia[i][1], 0
+            i += 1
+        elif va is None or vb < va:
+            ea, eb = 0, ib[j][1]
+            j += 1
+        else:
+            ea, eb = ia[i][1], ib[j][1]
+            i += 1
+            j += 1
+        if ea != eb:
+            return -1 if ea > eb else 1
+    return 0
+
+
+def _reference_substitute(p, mapping):
+    """Substitution factor by factor, with exponents summed in a plain dict
+    and every monomial built by the validating constructor."""
+    out = {}
+    for m, c in p.terms():
+        d = {}
+        for v, e in m.items():
+            for w, f in (mapping[v].items() if v in mapping else ((v, 2),)):
+                if (e * f) % 2:
+                    raise SubstituteNonMonomial("not a Laurent monomial")
+                d[w] = d.get(w, 0) + e * f // 2
+        key = Mono(d)
+        out[key] = out.get(key, 0) + c
+    return Poly(out)
 
 
 class TestRingAxioms:
@@ -202,3 +259,91 @@ class TestMat2:
             Mat2(self.x("a"), 0, 0, self.x("a")).inverse_unimodular()
         with pytest.raises(NotUnimodular):
             Mat2(0, 1, 1, 0).inverse_unimodular()  # det -1
+
+
+class TestTrustedConstruction:
+    """Monomials built from other monomials skip validation; each such path
+    must give exactly what the validating constructor gives."""
+
+    @staticmethod
+    def _same(m, d):
+        ref = Mono(d)
+        assert m == ref
+        assert m.items() == ref.items()
+        assert hash(m) == hash(ref)
+        assert list(m.items()) == sorted(
+            [(v, e) for v, e in d.items() if e],
+            key=lambda it: _reference_var_key(it[0]))
+
+    @settings(max_examples=300)
+    @given(wide_dicts, wide_dicts)
+    def test_mul_is_the_summed_dict(self, da, db):
+        summed = dict(da)
+        for v, e in db.items():
+            summed[v] = summed.get(v, 0) + e
+        self._same(Mono(da).mul(Mono(db)), summed)
+
+    @given(wide_monos)
+    def test_mul_cancels_to_the_unit(self, m):
+        self._same(m.mul(m.inverse()), {})
+        assert m.mul(m.inverse()).is_unit()
+
+    @given(wide_dicts, st.integers(-3, 3))
+    def test_inverse_and_even_powers(self, d, k):
+        m = Mono(d)
+        self._same(m.inverse(), {v: -e for v, e in d.items()})
+        self._same(m.power2(2 * k), {v: e * k for v, e in d.items()})
+
+    @settings(max_examples=300)
+    @given(wide_polys)
+    def test_terms_follow_the_reference_order(self, p):
+        monos = [m for m, _ in p.terms()]
+        assert monos == sorted(monos,
+                               key=functools.cmp_to_key(_reference_cmp))
+        assert len(monos) == len(set(monos))
+
+    @settings(max_examples=300)
+    @given(wide_polys, st.dictionaries(st.sampled_from(WIDE_VARS),
+                                       st.one_of(wide_monos, st.just(1)),
+                                       max_size=5))
+    def test_substitute_is_the_per_factor_product(self, p, mapping):
+        ref_map = {v: Mono() if val == 1 else val
+                   for v, val in mapping.items()}
+        try:
+            expected = _reference_substitute(p, ref_map)
+        except SubstituteNonMonomial:
+            with pytest.raises(SubstituteNonMonomial):
+                p.substitute(mapping)
+            return
+        assert p.substitute(mapping) == expected
+
+    def test_substitute_builds_one_monomial_per_term(self, monkeypatch):
+        # One term in 400 variables: a product per factor would build
+        # hundreds of monomials, one pass builds the result term alone.
+        n = 400
+        term = Mono({("x", "v%d" % i): 2 for i in range(n)})
+        p = Poly.from_mono(term, 3)
+        mapping = {}
+        for i in range(0, n, 4):
+            mapping[("x", "v%d" % i)] = Mono.of("y", "u%d" % i)
+            mapping[("x", "v%d" % (i + 1))] = 1
+            mapping[("x", "v%d" % (i + 2))] = Poly.of_var("b", "w%d" % i, -2)
+        created = []
+        validating, trusted = Mono.__init__, Mono._trusted.__func__
+
+        def counting_init(self, *args):
+            created.append("validated")
+            validating(self, *args)
+
+        def counting_trusted(cls, d):
+            created.append("trusted")
+            return trusted(cls, d)
+
+        monkeypatch.setattr(Mono, "__init__", counting_init)
+        monkeypatch.setattr(Mono, "_trusted", classmethod(counting_trusted))
+        q = p.substitute(mapping)
+        monkeypatch.undo()
+        assert len(created) <= 2
+        (m, c), = q.terms()
+        assert c == 3
+        assert len(m.items()) == n - n // 4

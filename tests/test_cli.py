@@ -236,6 +236,22 @@ class TestErrors:
         ("skein_octagon", lambda d: d["instance"].update(insert=5)),
         ("skein_octagon",
          lambda d: d["instance"].update(lamination_counts=3)),
+        ("annulus", lambda d: d["arcs"].__setitem__(0, ["1"])),
+        ("annulus", lambda d: d["boundary"].__setitem__(0, ["b1"])),
+        ("annulus", lambda d: d.update(punctures=[["p"]])),
+        ("annulus", lambda d: d["triangles"][0].__setitem__(0, ["1"])),
+        ("punctured_torus",
+         lambda d: d["arcs"].__setitem__(0, {"name": "1",
+                                             "ends": [["p"], "p"]})),
+        ("selffolded_disk", lambda d: d["self_folded"][0].update(noose=["l"])),
+        ("skein_octagon",
+         lambda d: d["instance"]["lamination_counts"].update(alpha1=3)),
+        ("skein_octagon",
+         lambda d: d["instance"]["lamination_counts"]["alpha1"].update(
+             {"0-2": "1"})),
+        ("skein_octagon",
+         lambda d: d["instance"]["lamination_counts"]["alpha1"].update(
+             {"0-2": 1.5})),
     ], ids=["start-range", "start-type", "end-type", "basepoint-range",
             "arc-without-name", "kinks-type", "self-folded-no-radius",
             "self-folded-not-object", "triangle-number",
@@ -243,7 +259,10 @@ class TestErrors:
             "punctures-number", "self-folded-number", "curves-number",
             "crossings-number", "ends-number", "arc-name-list",
             "instance-curves-number", "sigma1-number", "sigma2-number",
-            "insert-number", "lamination-counts-number"])
+            "insert-number", "lamination-counts-number", "arc-label-list",
+            "boundary-label-list", "puncture-label-list", "side-label-list",
+            "ends-label-list", "self-folded-label-list",
+            "role-counts-number", "count-string", "count-fraction"])
     def test_malformed_input_is_one_line(self, tmp_path, capsys, name, edit):
         doc = json.loads(golden(name + ".json"))
         edit(doc)
