@@ -104,19 +104,6 @@ def chi(tri, path, keep_boundary=False):
     return specialize(tri, chi_hat(path), keep_boundary)
 
 
-def a_coordinates(tri, path, keep_boundary=False):
-    """Coefficient-free expansion: every y variable set to one."""
-    p = chi(tri, path, keep_boundary)
-    return p.substitute({v: 1 for v in p.variables() if v[0] == "y"})
-
-
-def x_coordinates(path):
-    """Reduced reading with every side variable set to one; what is left
-    lives in half powers of the tile coefficients."""
-    p = chi_bar(path)
-    return p.substitute({v: 1 for v in p.variables() if v[0] in ("x", "b")})
-
-
 # -- local adjustments -----------------------------------------------------
 
 

@@ -50,6 +50,11 @@ class PuncturedSurface(ValidationError):
     """An operation restricted to unpunctured surfaces."""
 
 
+def _folded_sides(sf):
+    """The sorted sides of the triangle a self-folded record declares."""
+    return tuple(sorted([sf["radius"], sf["radius"], sf["noose"]]))
+
+
 class Triangulation:
     """An ideal triangulation given by clockwise side triples.
 
@@ -71,17 +76,23 @@ class Triangulation:
     # -- validation --------------------------------------------------------
 
     def _validate(self):
+        """Check the gluing and build the indexes every query reads: the
+        arc and boundary sets, each label's triangles in ascending order,
+        and each self-folded record under its sorted sides. Each check
+        reads these once, so validation is linear in the surface."""
         arcset, bset = set(self.arcs), set(self.boundary)
         if arcset & bset:
             raise ValidationError("labels used as both arc and boundary")
         if len(arcset) != len(self.arcs) or len(bset) != len(self.boundary):
             raise ValidationError("duplicate arc or boundary labels")
+        folded = {}
         for sf in self.self_folded:
             if set(sf) != {"noose", "radius", "puncture"}:
                 raise MalformedSelfFolded(
                     "self-folded record needs noose/radius/puncture")
+            folded.setdefault(_folded_sides(sf), sf)
         radii = {sf["radius"] for sf in self.self_folded}
-        counts = {}
+        counts, homes, shapes = {}, {}, set()
         for idx, tri in enumerate(self.triangles):
             if len(tri) != 3:
                 raise ValidationError("triangle %d is not a triple" % idx)
@@ -90,6 +101,8 @@ class Triangulation:
                     raise ValidationError(
                         "triangle %d uses unknown side %r" % (idx, s))
                 counts[s] = counts.get(s, 0) + 1
+            for s in set(tri):
+                homes.setdefault(s, []).append(idx)
             dupes = {s for s in tri if tri.count(s) == 2}
             if dupes:
                 only = dupes.pop()
@@ -97,6 +110,8 @@ class Triangulation:
                     raise MalformedSelfFolded(
                         "triangle %d repeats side %r without a matching "
                         "self-folded declaration" % (idx, only))
+            if folded:
+                shapes.add(tuple(sorted(tri)))
         for a in self.arcs:
             if counts.get(a, 0) > 2:
                 raise ArcInThreeTriangles(
@@ -105,16 +120,18 @@ class Triangulation:
             if counts.get(b, 0) > 1:
                 raise ValidationError(
                     "boundary segment %r occurs %d times" % (b, counts[b]))
+        punctures = set(self.punctures)
         for sf in self.self_folded:
             noose, radius, p = sf["noose"], sf["radius"], sf["puncture"]
             if noose not in arcset or radius not in arcset:
                 raise MalformedSelfFolded("self-folded sides must be arcs")
-            if p not in self.punctures:
+            if p not in punctures:
                 raise MalformedSelfFolded("unknown puncture %r" % (p,))
-            pattern = sorted([radius, radius, noose])
-            if not any(sorted(tri) == pattern for tri in self.triangles):
+            if _folded_sides(sf) not in shapes:
                 raise MalformedSelfFolded(
                     "no (radius, radius, noose) triangle for %r" % (sf,))
+        self._arc_set, self._boundary_set = arcset, bset
+        self._homes, self._folded = homes, folded
         self._check_orientation()
         for a, ends in self.arc_ends.items():
             if a not in arcset:
@@ -122,28 +139,40 @@ class Triangulation:
             if len(tuple(ends)) != 2:
                 raise ValidationError("arc %r needs exactly two ends" % a)
 
+    def _glued_pairs(self):
+        """The pairs (i, j), i < j, of ordinary triangles that share an
+        arc, in ascending order. Each arc lies in at most two triangles,
+        so there are fewer pairs than arcs."""
+        ordinary = [self.self_folded_record(i) is None
+                    for i in range(len(self.triangles))]
+        pairs = []
+        for i, tri in enumerate(self.triangles):
+            if ordinary[i]:
+                later = {j for s in tri if s in self._arc_set
+                         for j in self._homes[s] if j > i and ordinary[j]}
+                pairs.extend((i, j) for j in sorted(later))
+        return pairs
+
     def _check_orientation(self):
         """Two ordinary triangles glued along two arcs must see the shared
         pair in opposite cyclic orders, otherwise the gluing reverses
         orientation."""
-        tris = [tri for i, tri in enumerate(self.triangles)
-                if self.self_folded_record(i) is None]
-        for i in range(len(tris)):
-            for j in range(i + 1, len(tris)):
-                shared = set(tris[i]) & set(tris[j]) & set(self.arcs)
-                if len(shared) != 2:
-                    continue
-                s1, s2 = sorted(shared)
-                if (self._succ(tris[i], s1) == s2) == \
-                        (self._succ(tris[j], s1) == s2):
-                    raise OrientationInconsistent(
-                        "triangles %r and %r glue along %r with matching "
-                        "cyclic orders" % (tris[i], tris[j], sorted(shared)))
+        for i, j in self._glued_pairs():
+            first, second = self.triangles[i], self.triangles[j]
+            shared = set(first) & set(second) & self._arc_set
+            if len(shared) != 2:
+                continue
+            s1, s2 = sorted(shared)
+            if (self._succ(first, s1) == s2) == \
+                    (self._succ(second, s1) == s2):
+                raise OrientationInconsistent(
+                    "triangles %r and %r glue along %r with matching "
+                    "cyclic orders" % (first, second, sorted(shared)))
 
     # -- basic queries -----------------------------------------------------
 
     def is_boundary(self, label):
-        return label in set(self.boundary)
+        return label in self._boundary_set
 
     def variable(self, label):
         return ("b" if self.is_boundary(label) else "x", label)
@@ -153,14 +182,12 @@ class Triangulation:
         None for an ordinary triangle."""
         if not self.self_folded:
             return None
-        sides = sorted(self.triangles[idx])
-        for sf in self.self_folded:
-            if sides == sorted([sf["radius"], sf["radius"], sf["noose"]]):
-                return sf
-        return None
+        return self._folded.get(tuple(sorted(self.triangles[idx])))
 
     def triangles_containing(self, label):
-        return [i for i, tri in enumerate(self.triangles) if label in tri]
+        """The indices of the triangles with ``label`` as a side, in
+        ascending order."""
+        return list(self._homes.get(label, ()))
 
     @staticmethod
     def _succ(tri, side):
@@ -696,6 +723,9 @@ def curve_from_dict(entry):
     if not isinstance(entry, dict):
         raise ValidationError("bad curve entry %r" % (entry,))
     _reject_unknown(entry, _CURVE_KEYS, "curve")
+    for key in ("name", "puncture"):
+        if key in entry:
+            _typed(entry, key, str, None)
     return Curve(
         kind=entry.get("kind", "arc"),
         crossings=_typed(entry, "crossings", list, []),

@@ -252,6 +252,8 @@ class TestErrors:
         ("skein_octagon",
          lambda d: d["instance"]["lamination_counts"]["alpha1"].update(
              {"0-2": 1.5})),
+        ("annulus", lambda d: d["curves"][0].update(name=["core"])),
+        ("annulus", lambda d: d["curves"][1].update(puncture=3)),
     ], ids=["start-range", "start-type", "end-type", "basepoint-range",
             "arc-without-name", "kinks-type", "self-folded-no-radius",
             "self-folded-not-object", "triangle-number",
@@ -262,7 +264,8 @@ class TestErrors:
             "insert-number", "lamination-counts-number", "arc-label-list",
             "boundary-label-list", "puncture-label-list", "side-label-list",
             "ends-label-list", "self-folded-label-list",
-            "role-counts-number", "count-string", "count-fraction"])
+            "role-counts-number", "count-string", "count-fraction",
+            "curve-name-list", "curve-puncture-number"])
     def test_malformed_input_is_one_line(self, tmp_path, capsys, name, edit):
         doc = json.loads(golden(name + ".json"))
         edit(doc)

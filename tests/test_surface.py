@@ -6,6 +6,7 @@ module was written.
 """
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from snakegraphs.algebra import Mono, Poly, parse_poly
 from snakegraphs.snakecore import (
@@ -111,6 +112,150 @@ class TestValidation:
         with pytest.raises(ValidationError):
             Triangulation(arcs=["1"], boundary=["x"], punctures=[],
                           triangles=[("1", "x", "mystery")])
+
+
+def fan_sides(n):
+    """Arcs, boundary and clockwise triangles of the n-gon fanned from
+    vertex 0; triangle k - 1 has the corners 0, k and k + 1."""
+    def side(i, j):
+        return "%d-%d" % (min(i, j), max(i, j))
+    return ([side(0, k) for k in range(2, n - 1)],
+            [side(k, k + 1) for k in range(n - 1)] + [side(0, n - 1)],
+            [(side(0, k), side(k, k + 1), side(0, k + 1))
+             for k in range(1, n - 1)])
+
+
+def fan(n):
+    arcs, boundary, triangles = fan_sides(n)
+    return Triangulation(arcs, boundary, [], triangles)
+
+
+def reference_orientation_error(arcs, triangles, self_folded):
+    """The all-pairs orientation check: the message for the first pair
+    of ordinary triangles glued along two arcs in matching cyclic
+    orders, or None."""
+    folded = [sorted([sf["radius"], sf["radius"], sf["noose"]])
+              for sf in self_folded]
+    tris = [tuple(t) for t in triangles if sorted(t) not in folded]
+    for i in range(len(tris)):
+        for j in range(i + 1, len(tris)):
+            shared = set(tris[i]) & set(tris[j]) & set(arcs)
+            if len(shared) != 2:
+                continue
+            s1, s2 = sorted(shared)
+            if (tris[i][(tris[i].index(s1) + 1) % 3] == s2) == \
+                    (tris[j][(tris[j].index(s1) + 1) % 3] == s2):
+                return ("triangles %r and %r glue along %r with matching "
+                        "cyclic orders" % (tris[i], tris[j], sorted(shared)))
+    return None
+
+
+def reference_flip_over(triangles, idx, arc):
+    if triangles[idx].count(arc) == 2:
+        return idx
+    homes = [i for i, t in enumerate(triangles) if arc in t]
+    if idx not in homes:
+        raise NonAdjacentCrossings(
+            "arc %r is not a side of triangle %d" % (arc, idx))
+    others = [h for h in homes if h != idx]
+    if not others:
+        raise NonAdjacentCrossings(
+            "arc %r has no triangle on its far side" % (arc,))
+    return others[0]
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except NonAdjacentCrossings as exc:
+        return str(exc)
+
+
+@st.composite
+def glued_fans(draw):
+    """A fan n-gon with extra pairs of triangles glued along two arcs,
+    each pair in opposite or (a bad gluing) matching cyclic orders, an
+    optional self-folded triangle with one or two records, the triangles
+    shuffled and one triangle's cyclic order optionally reversed."""
+    arcs, boundary, triangles = fan_sides(draw(st.integers(3, 40)))
+    punctures, self_folded = [], []
+    for k in range(draw(st.integers(0, 3))):
+        u, v, p, q = "u%d" % k, "v%d" % k, "p%d" % k, "q%d" % k
+        arcs += [u, v]
+        boundary += [p, q]
+        triangles += [(u, v, p),
+                      (u, v, q) if draw(st.booleans()) else (v, u, q)]
+    if draw(st.booleans()):
+        arcs += ["l", "r"]
+        boundary += ["fa", "fb"]
+        punctures.append("o")
+        triangles += [("fa", "fb", "l"), ("r", "r", "l")]
+        self_folded.append({"noose": "l", "radius": "r", "puncture": "o"})
+        if draw(st.booleans()):
+            # a second record for the same triangle: the first one wins
+            punctures.append("o2")
+            self_folded.append(
+                {"noose": "l", "radius": "r", "puncture": "o2"})
+    triangles = draw(st.permutations(triangles))
+    if draw(st.booleans()):
+        k = draw(st.integers(0, len(triangles) - 1))
+        triangles[k] = triangles[k][::-1]
+    return arcs, boundary, punctures, triangles, self_folded
+
+
+class TestIndexedQueries:
+    @settings(max_examples=60, deadline=None)
+    @given(glued_fans())
+    def test_index_matches_plain_scans(self, surface):
+        arcs, boundary, punctures, triangles, self_folded = surface
+        want = reference_orientation_error(arcs, triangles, self_folded)
+        try:
+            t = Triangulation(arcs, boundary, punctures, triangles,
+                              self_folded=self_folded)
+        except OrientationInconsistent as exc:
+            assert str(exc) == want
+            return
+        assert want is None
+        for idx, sides in enumerate(triangles):
+            assert t.self_folded_record(idx) == next(
+                (sf for sf in self_folded if sorted(sides)
+                 == sorted([sf["radius"], sf["radius"], sf["noose"]])),
+                None)
+        for label in arcs + boundary + ["nowhere"]:
+            assert t.triangles_containing(label) == [
+                i for i, sides in enumerate(triangles) if label in sides]
+            assert t.is_boundary(label) == (label in boundary)
+            for idx in range(len(triangles)):
+                assert outcome(t.flip_over, idx, label) == outcome(
+                    reference_flip_over, triangles, idx, label)
+
+    def test_orientation_check_compares_linearly_many_pairs(
+            self, monkeypatch):
+        compared = []
+        glued_pairs = Triangulation._glued_pairs
+
+        def counted(tri):
+            pairs = glued_pairs(tri)
+            compared.append(len(pairs))
+            return pairs
+
+        monkeypatch.setattr(Triangulation, "_glued_pairs", counted)
+        fan(200)
+        fan(400)
+        assert compared[1] <= 2 * compared[0] + 4
+
+    def test_large_fan(self):
+        t = fan(1600)
+        assert t.triangles_containing("0-2") == [0, 1]
+        assert t.triangles_containing("0-1599") == [1597]
+        assert t.flip_over(0, "0-2") == 1
+        assert t.flip_over(800, "0-802") == 801
+        assert t.flip_over(801, "0-802") == 800
+        assert t.is_boundary("0-1599") and not t.is_boundary("0-1598")
+        with pytest.raises(NonAdjacentCrossings):
+            t.flip_over(1597, "0-1599")
+        with pytest.raises(NonAdjacentCrossings):
+            t.flip_over(5, "0-2")
 
 
 class TestBMatrix:
