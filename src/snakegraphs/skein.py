@@ -41,7 +41,6 @@ from .mpath import (
     twist,
 )
 from .surface import (
-    Curve,
     PuncturedSurface,
     ValidationError,
     _reject_unknown,
@@ -221,37 +220,26 @@ def monomial_quotient(num, den):
     return None
 
 
-def _curve_reading(tri, curve, read):
-    """``read`` applied to the curve's standard path, signed by its
-    kinks; the contractible kinds have fixed values instead."""
+def _signed(curve, read):
+    """``read()`` signed by the curve's kinks; the contractible kinds have
+    fixed values instead."""
     if curve.kind == "contractible_monogon_arc":
         return Poly.zero()
     if curve.kind == "contractible_loop":
         return Poly.const(-2)
-    val = read(path_for_curve(tri, curve))
-    return -val if curve.sign() < 0 else val
+    return -read() if curve.sign() < 0 else read()
 
 
-def _chi_bar_curve(tri, curve):
-    return _curve_reading(tri, curve, chi_bar)
-
-
-def _chi_curve(tri, curve):
-    return _curve_reading(
-        tri, curve, lambda path: chi(tri, path, keep_boundary=True))
-
-
-def _match_composite(tri, steps, curve, role):
+def _match_composite(steps, curve, role, target):
     """The coefficient monomial relating a composite reading to the
-    declared curve's reduced reading."""
+    declared curve's reduced reading ``target()``."""
     closed = curve.kind in ("loop", "contractible_loop")
     try:
         got = chi_bar(MPath(steps, closed))
     except MixedSigns:
         raise IsotopyMismatch(
             "composite for %s has a mixed-sign reading" % role)
-    target = _chi_bar_curve(tri, curve)
-    mono = monomial_quotient(got, abs_poly(target))
+    mono = monomial_quotient(got, abs_poly(target()))
     if mono is None:
         raise IsotopyMismatch(
             "composite for %s does not match its declared curve" % role)
@@ -363,49 +351,71 @@ class SkeinReport:
 
 
 def verify_skein(tri, inst):
+    """Check one smoothing identity. The variant's builder supplies the
+    two coefficient monomials; the check of the reduced and unreduced
+    identities and of the lamination counts is shared. Each curve's
+    standard path and readings are computed at most once per call."""
     if tri.self_folded:
         raise SelfFoldedUnsupported(
             "smoothing verification needs a triangulation without "
             "self-folded triangles")
-    if inst.variant == ARC_ARC:
-        return _verify_arc_arc(tri, inst)
-    if inst.variant == WITH_LOOP:
-        return _verify_with_loop(tri, inst)
-    return _verify_self_intersection(tri, inst)
+    build, lhs_roles, terms_roles = _VARIANTS[inst.variant]
+    curves = {r: inst.curve(r) for r in lhs_roles + sum(terms_roles, ())}
+    memo = {}
 
+    def once(what, role, make):
+        key = (what, curves[role])
+        if key not in memo:
+            memo[key] = make()
+        return memo[key]
 
-def _hat_identity(tri, lhs_curves, terms):
-    """Cross-check the identity on the unreduced expansions.
+    def path(role):
+        return once("path", role, lambda: path_for_curve(tri, curves[role]))
 
-    ``terms`` holds (sign, curves, bar coefficient) triples; the
-    unreduced coefficient gains half a power of y per crossing-count
-    difference and must come out integral.
-    """
-    lhs = Poly.one()
-    for c in lhs_curves:
-        lhs = lhs * _chi_curve(tri, c)
+    def bar(role):
+        return once("bar", role, lambda: _signed(
+            curves[role], lambda: chi_bar(path(role))))
+
+    def hat(role):
+        return once("hat", role, lambda: _signed(
+            curves[role], lambda: chi(tri, path(role), keep_boundary=True)))
+
+    def match(steps, role):
+        return _match_composite(steps, curves[role], role, lambda: bar(role))
+
+    def product(roles, read):
+        out = Poly.one()
+        for role in roles:
+            out = out * read(role)
+        return out
+
+    monos = build(tri, inst, path, match)
+    lhs = product(lhs_roles, bar)
+    products = tuple(product(roles, bar) for roles in terms_roles)
+    signs = _resolve_signs(lhs, *(p * Poly.from_mono(m)
+                                  for p, m in zip(products, monos)))
+    # The unreduced coefficient gains half a power of y per crossing-count
+    # difference and must come out integral.
+    lhs_curves = [curves[r] for r in lhs_roles]
+    hat_lhs = product(lhs_roles, hat)
     rhs = Poly.zero()
     coeffs = []
-    for sign, curves, bar_mono in terms:
-        extra = _crossing_mono(tri, lhs_curves, curves)
-        coeff = _lower_coeffs(tri, bar_mono.mul(extra))
-        coeffs.append(coeff)
-        prod = Poly.from_mono(coeff, sign)
-        for c in curves:
-            prod = prod * _chi_curve(tri, c)
-        rhs = rhs + prod
-    if lhs != rhs:
+    for sign, roles, mono in zip(signs, terms_roles, monos):
+        extra = _crossing_mono(tri, lhs_curves, [curves[r] for r in roles])
+        coeffs.append(_lower_coeffs(tri, mono.mul(extra)))
+        rhs = rhs + Poly.from_mono(coeffs[-1], sign) * product(roles, hat)
+    if hat_lhs != rhs:
         raise IdentityFailed("unreduced form of the identity failed")
-    return coeffs
+    agree = _check_lamination(inst.lamination_counts, lhs_roles,
+                              terms_roles, coeffs)
+    return SkeinReport(inst.variant, lhs, signs, coeffs, products, agree)
 
 
-def _check_lamination(inst, coeffs, term_curves):
+def _check_lamination(counts, lhs_roles, terms_roles, coeffs):
     """Compare coefficient exponents against supplied lamination
     crossing counts, when the instance carries them."""
-    counts = inst.lamination_counts
     if counts is None:
         return None
-    lhs_roles, terms_roles = term_curves
     for coeff, roles in zip(coeffs, terms_roles):
         labels = set(l for r in lhs_roles + roles for l in counts.get(r, {}))
         for label in labels:
@@ -419,106 +429,70 @@ def _check_lamination(inst, coeffs, term_curves):
     return True
 
 
-def _verify_arc_arc(tri, inst):
-    g1, g2 = inst.curve("gamma1"), inst.curve("gamma2")
-    a1, a2 = inst.curve("alpha1"), inst.curve("alpha2")
-    b1, b2 = inst.curve("beta1"), inst.curve("beta2")
-    pa1 = path_for_curve(tri, a1).steps
-    pa2 = path_for_curve(tri, a2).steps
-    loose_b1 = LoosenedMPath(inst.sigma1, path_for_curve(tri, b1),
-                             inst.sigma2)
-    lb1 = loose_b1.steps()
+def _split(steps, k):
+    if not 0 <= k <= len(steps):
+        raise SkeinError("split index out of range")
+    return steps[:k], steps[k:]
 
-    mono_g1 = _match_composite(tri, pa2 + lb1, g1, "gamma1")
-    mono_g2 = _match_composite(tri, lb1 + pa1, g2, "gamma2")
-    mono_b2 = _match_composite(tri, pa2 + lb1 + pa1, b2, "beta2")
-    mono_b1 = _match_composite(tri, lb1, b1, "beta1")
+
+def _arc_arc(tri, inst, path, match):
+    """Crossing arcs; beta1 is loosened by the instance's walks, whose
+    twist counts must agree with beta1's coefficient."""
+    pa1, pa2 = path("alpha1").steps, path("alpha2").steps
+    loose_b1 = LoosenedMPath(inst.sigma1, path("beta1"), inst.sigma2)
+    lb1 = loose_b1.steps()
+    mono_g1 = match(pa2 + lb1, "gamma1")
+    mono_g2 = match(lb1 + pa1, "gamma2")
+    mono_b2 = match(pa2 + lb1 + pa1, "beta2")
+    mono_b1 = match(lb1, "beta1")
     for label in tri.arcs:
         if mono_b1.exponent2(("Y", label)) \
                 != -loose_b1.signed_excess(label):
             raise IsotopyMismatch(
                 "walk crossings of %r disagree with the matrix reading"
                 % (label,))
-
     shift = mono_g1.mul(mono_g2).inverse()
-    coeff_a = shift
-    coeff_b = shift.mul(mono_b1).mul(mono_b2)
-    lhs = _chi_bar_curve(tri, g1) * _chi_bar_curve(tri, g2)
-    prod_a = _chi_bar_curve(tri, a1) * _chi_bar_curve(tri, a2)
-    prod_b = _chi_bar_curve(tri, b1) * _chi_bar_curve(tri, b2)
-    s1, s2 = _resolve_signs(
-        lhs, prod_a * Poly.from_mono(coeff_a),
-        prod_b * Poly.from_mono(coeff_b))
-    hat_coeffs = _hat_identity(
-        tri, [g1, g2],
-        [(s1, [a1, a2], coeff_a), (s2, [b1, b2], coeff_b)])
-    agree = _check_lamination(
-        inst, hat_coeffs,
-        (["gamma1", "gamma2"], [["alpha1", "alpha2"], ["beta1", "beta2"]]))
-    return SkeinReport(ARC_ARC, lhs, (s1, s2), hat_coeffs,
-                       (prod_a, prod_b), agree)
+    return shift, shift.mul(mono_b1).mul(mono_b2)
 
 
-def _verify_with_loop(tri, inst):
-    g1, g2 = inst.curve("gamma1"), inst.curve("gamma2")
-    a, b = inst.curve("alpha"), inst.curve("beta")
-    if g2.kind != "loop":
+def _with_loop(tri, inst, path, match):
+    """An arc or loop gamma1 meeting the loop gamma2, which is spliced
+    in at the split index, or after gamma1's steps when that is a loop
+    too."""
+    if inst.curves["gamma2"].kind != "loop":
         raise SkeinError("the second curve must be a loop")
-    steps1 = path_for_curve(tri, g1).steps
-    steps2 = rotate_loop(path_for_curve(tri, g2).steps, inst.loop_rotation)
-    if g1.kind == "loop":
+    steps1 = path("gamma1").steps
+    steps2 = rotate_loop(path("gamma2").steps, inst.loop_rotation)
+    if inst.curves["gamma1"].kind == "loop":
         head, tail = steps1, []
     else:
-        k = inst.split_index
-        if not 0 <= k <= len(steps1):
-            raise SkeinError("split index out of range")
-        head, tail = steps1[:k], steps1[k:]
-    mono_a = _match_composite(tri, head + steps2 + tail, a, "alpha")
-    mono_b = _match_composite(tri, head + invert_steps(steps2) + tail,
-                              b, "beta")
-    lhs = _chi_bar_curve(tri, g1) * _chi_bar_curve(tri, g2)
-    term_a = _chi_bar_curve(tri, a) * Poly.from_mono(mono_a)
-    term_b = _chi_bar_curve(tri, b) * Poly.from_mono(mono_b)
-    s1, s2 = _resolve_signs(lhs, term_a, term_b)
-    hat_coeffs = _hat_identity(
-        tri, [g1, g2], [(s1, [a], mono_a), (s2, [b], mono_b)])
-    agree = _check_lamination(
-        inst, hat_coeffs, (["gamma1", "gamma2"], [["alpha"], ["beta"]]))
-    return SkeinReport(WITH_LOOP, lhs, (s1, s2), hat_coeffs,
-                       (_chi_bar_curve(tri, a), _chi_bar_curve(tri, b)),
-                       agree)
+        head, tail = _split(steps1, inst.split_index)
+    return (match(head + steps2 + tail, "alpha"),
+            match(head + invert_steps(steps2) + tail, "beta"))
 
 
-def _verify_self_intersection(tri, inst):
-    g = inst.curve("gamma")
-    a1, a2 = inst.curve("alpha1"), inst.curve("alpha2")
-    b = inst.curve("beta")
-    base = Curve(g.kind, g.crossings, g.start_triangle, g.end_triangle,
-                 g.basepoint_triangle, kinks=0)
-    steps = path_for_curve(tri, base).steps
-    k = inst.split_index
-    if not 0 <= k <= len(steps):
-        raise SkeinError("split index out of range")
+def _self_intersection(tri, inst, path, match):
+    """A curve crossing itself: the inserted circuit, spliced in at the
+    split index, must read as gamma; alone, as alpha1."""
+    steps = path("gamma").steps
+    head, tail = _split(steps, inst.split_index)
     insert = list(inst.insert_steps)
     if not insert:
         raise SkeinError("self-intersection instances need circuit steps")
-    _match_composite(tri, steps[:k] + insert + steps[k:], g, "gamma")
-    mono_a1 = _match_composite(tri, insert, a1, "alpha1")
-    mono_a2 = _match_composite(tri, steps, a2, "alpha2")
-    mono_b = _match_composite(
-        tri, steps[:k] + invert_steps(insert) + steps[k:], b, "beta")
-    lhs = _chi_bar_curve(tri, g)
-    term_a = (_chi_bar_curve(tri, a1) * _chi_bar_curve(tri, a2)
-              * Poly.from_mono(mono_a1.mul(mono_a2)))
-    term_b = _chi_bar_curve(tri, b) * Poly.from_mono(mono_b)
-    s1, s2 = _resolve_signs(lhs, term_a, term_b)
-    hat_coeffs = _hat_identity(
-        tri, [g],
-        [(s1, [a1, a2], mono_a1.mul(mono_a2)), (s2, [b], mono_b)])
-    agree = _check_lamination(
-        inst, hat_coeffs, (["gamma"], [["alpha1", "alpha2"], ["beta"]]))
-    return SkeinReport(SELF_INTERSECTION, lhs, (s1, s2), hat_coeffs,
-                       (term_a, term_b), agree)
+    match(head + insert + tail, "gamma")
+    return (match(insert, "alpha1").mul(match(steps, "alpha2")),
+            match(head + invert_steps(insert) + tail, "beta"))
+
+
+# Each variant's builder, the roles of its two crossing curves (one for a
+# self-crossing), and the roles of each resolution's curves.
+_VARIANTS = {
+    ARC_ARC: (_arc_arc, ("gamma1", "gamma2"),
+              (("alpha1", "alpha2"), ("beta1", "beta2"))),
+    WITH_LOOP: (_with_loop, ("gamma1", "gamma2"), (("alpha",), ("beta",))),
+    SELF_INTERSECTION: (_self_intersection, ("gamma",),
+                        (("alpha1", "alpha2"), ("beta",))),
+}
 
 
 def kink_circuit(tau, tau_prime, sigma):
@@ -603,6 +577,10 @@ def instance_from_dict(doc, named_curves=()):
             curves[role] = curve_from_dict(val)
         else:
             raise ValidationError("bad curve reference %r" % (val,))
+    for key in ("split_index", "loop_rotation"):
+        if type(doc.get(key, 0)) is not int:
+            raise ValidationError("%r must be an integer, not %r"
+                                  % (key, doc[key]))
     if doc.get("lamination_counts") is not None:
         for role, counts in _typed(doc, "lamination_counts", dict,
                                    None).items():

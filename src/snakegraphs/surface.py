@@ -305,14 +305,11 @@ class Curve:
 
 
 class Layout:
-    """The combinatorial unfolding of a curve: the triangle chain, turn
-    directions, shape word, glue labels and corner labels."""
+    """The combinatorial unfolding of a curve: the shape word, glue
+    labels, crossed diagonals and corner or cut labels."""
 
-    def __init__(self, chain, turns, shapes, glues, diagonals,
-                 corner_a=None, corner_b=None, corner_w=None, corner_z=None,
-                 cut=None, closed=False):
-        self.chain = chain
-        self.turns = turns
+    def __init__(self, shapes, glues, diagonals, corner_a=None,
+                 corner_b=None, corner_w=None, corner_z=None, cut=None):
         self.shapes = shapes
         self.glues = glues
         self.diagonals = diagonals
@@ -321,7 +318,6 @@ class Layout:
         self.corner_w = corner_w
         self.corner_z = corner_z
         self.cut = cut
-        self.closed = closed
 
 
 def _check_crossing_repeats(tri, crossings):
@@ -444,9 +440,8 @@ def arc_layout(tri, curve):
             % (chain[-1], curve.end_triangle))
     a, b = _first_corners(tri, chain[0], crossings[0])
     w, z = _last_corners(tri, chain[-1], crossings[-1])
-    return Layout(chain, turns, _turns_to_shapes(turns), glues,
-                  list(crossings), corner_a=a, corner_b=b,
-                  corner_w=w, corner_z=z)
+    return Layout(_turns_to_shapes(turns), glues, list(crossings),
+                  corner_a=a, corner_b=b, corner_w=w, corner_z=z)
 
 
 def loop_layout(tri, curve):
@@ -491,8 +486,7 @@ def loop_layout(tri, curve):
         cut = tri.third_side(base, crossings[-1], crossings[0])
     else:
         cut = folded["radius"]
-    return Layout(chain, turns, _turns_to_shapes(turns), glues,
-                  list(crossings), cut=cut, closed=True)
+    return Layout(_turns_to_shapes(turns), glues, list(crossings), cut=cut)
 
 
 def build_snake_graph(tri, curve):
@@ -602,11 +596,10 @@ def _finish(tri, raw, keep_boundary):
 def expand(tri, curve, keep_boundary=False, rel=1):
     """Expand a curve into its Laurent polynomial by the matching rule."""
     if curve.kind == "contractible_monogon_arc":
-        return ClusterElement(Poly.zero(), Poly.zero(), None, Poly.zero())
-    if curve.kind == "contractible_loop":
-        c = Poly.const(-2)
-        return ClusterElement(c, c, Mono.unit(), c)
-    if curve.kind == "puncture_loop":
+        raw = Poly.zero()
+    elif curve.kind == "contractible_loop":
+        raw = Poly.const(-2)
+    elif curve.kind == "puncture_loop":
         if curve.puncture is None:
             raise ValidationError("puncture loops need a puncture label")
         p = curve.puncture
@@ -620,11 +613,12 @@ def expand(tri, curve, keep_boundary=False, rel=1):
         else:
             term = Mono({("y", a): 2 * tri.endpoint_count(a, p)
                          for a in tri.arcs})
-        return _finish(tri, Poly.one() + Poly.from_mono(term), keep_boundary)
-    g = graph_for(tri, curve)
-    raw = g.enumerator_by_matchings(rel).div_mono(g.crossing_mono())
-    if curve.sign() < 0:
-        raw = -raw
+        raw = Poly.one() + Poly.from_mono(term)
+    else:
+        g = graph_for(tri, curve)
+        raw = g.enumerator_by_matchings(rel).div_mono(g.crossing_mono())
+        if curve.sign() < 0:
+            raw = -raw
     return _finish(tri, raw, keep_boundary)
 
 
@@ -728,7 +722,7 @@ def curve_from_dict(entry):
             _typed(entry, key, str, None)
     return Curve(
         kind=entry.get("kind", "arc"),
-        crossings=_typed(entry, "crossings", list, []),
+        crossings=_labels(entry, "crossings", []),
         start_triangle=entry.get("start_triangle"),
         end_triangle=entry.get("end_triangle"),
         basepoint_triangle=entry.get("basepoint_triangle"),

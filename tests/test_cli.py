@@ -254,6 +254,15 @@ class TestErrors:
              {"0-2": 1.5})),
         ("annulus", lambda d: d["curves"][0].update(name=["core"])),
         ("annulus", lambda d: d["curves"][1].update(puncture=3)),
+        ("annulus",
+         lambda d: d["curves"][1].update(crossings=[["1"], ["1"]])),
+        ("annulus", lambda d: d["curves"][1].update(crossings=[1, 2])),
+        ("skein_octagon", lambda d: d["instance"].update(split_index="1")),
+        ("skein_octagon", lambda d: d["instance"].update(split_index=1.5)),
+        ("skein_octagon",
+         lambda d: d["instance"].update(loop_rotation=None)),
+        ("skein_octagon",
+         lambda d: d["instance"].update(loop_rotation=True)),
     ], ids=["start-range", "start-type", "end-type", "basepoint-range",
             "arc-without-name", "kinks-type", "self-folded-no-radius",
             "self-folded-not-object", "triangle-number",
@@ -265,7 +274,10 @@ class TestErrors:
             "boundary-label-list", "puncture-label-list", "side-label-list",
             "ends-label-list", "self-folded-label-list",
             "role-counts-number", "count-string", "count-fraction",
-            "curve-name-list", "curve-puncture-number"])
+            "curve-name-list", "curve-puncture-number",
+            "crossing-label-list", "crossing-label-number",
+            "split-index-string", "split-index-fraction",
+            "loop-rotation-null", "loop-rotation-bool"])
     def test_malformed_input_is_one_line(self, tmp_path, capsys, name, edit):
         doc = json.loads(golden(name + ".json"))
         edit(doc)

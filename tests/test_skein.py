@@ -9,9 +9,11 @@ coefficients below were frozen from the first verified runs.
 import pytest
 
 from snakegraphs.algebra import Mono, Poly
+from snakegraphs import skein
 from snakegraphs.mpath import (
     CCW,
     CW,
+    chi_bar,
     path_for_curve,
     path_matrix,
     pivot,
@@ -211,6 +213,53 @@ class TestSelfIntersection:
         inst.insert_steps = []
         with pytest.raises(SkeinError):
             verify_skein(tri, inst)
+
+
+def _reduced(tri, curve):
+    """A curve's reduced reading, computed here without the verifier."""
+    if curve.kind == "contractible_loop":
+        return Poly.const(-2)
+    val = chi_bar(path_for_curve(tri, curve))
+    return -val if curve.sign() < 0 else val
+
+
+class TestSharedCheck:
+    """One instance of each variant."""
+
+    MAKERS = [lambda: fan_skein_instance(8, 1, 3, 5, 7), ring_loop_instance,
+              kink_instance]
+    IDS = ["arc-arc", "with-loop", "self-intersection"]
+
+    @pytest.mark.parametrize("make,most", list(zip(MAKERS, [6, 4, 3])),
+                             ids=IDS)
+    def test_each_path_is_built_once(self, monkeypatch, make, most):
+        tri, inst = make()
+        built = []
+        real = skein.path_for_curve
+
+        def counting(tri, curve):
+            built.append(curve)
+            return real(tri, curve)
+
+        monkeypatch.setattr(skein, "path_for_curve", counting)
+        verify_skein(tri, inst)
+        assert len(built) <= most
+        assert len(set(map(id, built))) == len(built)
+
+    @pytest.mark.parametrize("make,roles", list(zip(MAKERS, [
+        [("alpha1", "alpha2"), ("beta1", "beta2")],
+        [("alpha",), ("beta",)],
+        [("alpha1", "alpha2"), ("beta",)],
+    ])), ids=IDS)
+    def test_products_are_reduced_readings(self, make, roles):
+        tri, inst = make()
+        report = verify_skein(tri, inst)
+        assert len(report.products) == len(roles)
+        for product, term_roles in zip(report.products, roles):
+            want = Poly.one()
+            for role in term_roles:
+                want = want * _reduced(tri, inst.curves[role])
+            assert product == want
 
 
 class TestPtolemy:

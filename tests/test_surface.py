@@ -387,6 +387,20 @@ class TestExpand:
         assert expand(t, Curve("contractible_loop")).laurent \
             == Poly.const(-2)
 
+    @pytest.mark.parametrize("keep_boundary", [False, True])
+    def test_special_kinds_have_fixed_fields(self, keep_boundary):
+        t = annulus()
+        zero = expand(t, Curve("contractible_monogon_arc"),
+                      keep_boundary=keep_boundary)
+        assert (zero.laurent, zero.f_poly, zero.tropical_shift,
+                zero.normalized) == (Poly.zero(), Poly.zero(), None,
+                                     Poly.zero())
+        two = expand(t, Curve("contractible_loop"),
+                     keep_boundary=keep_boundary)
+        assert (two.laurent, two.f_poly, two.tropical_shift,
+                two.normalized) == (Poly.const(-2), Poly.const(-2),
+                                    Mono.unit(), Poly.const(-2))
+
     def test_puncture_loops(self):
         got = expand(torus(), Curve("puncture_loop", puncture="p"))
         assert got.laurent == expect("1 + y:1^2*y:2^2*y:3^2")
