@@ -16,6 +16,8 @@ prints as power 1, a stored exponent of 1 prints as ^(1/2), and so on.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
+from operator import itemgetter
 
 KINDS = ("x", "y", "Y", "b")
 _KIND_ORDER = {k: i for i, k in enumerate(KINDS)}
@@ -53,24 +55,27 @@ def var(kind, label):
     return (kind, str(label))
 
 
-def _var_key(v):
-    return (_KIND_ORDER[v[0]], v[1])
+# The variable order sorts by kind, in KINDS order, then by label. KINDS
+# is the code-point order of its letters ("Y" < "b" < "x" < "y") rotated
+# to start at "x", so a plain sort of the variables, rotated at the first
+# variable of kind "x", is in variable order. No Python key function runs
+# per variable.
+_BEFORE_FIRST_X = ("x",)
+_VARIABLE = itemgetter(0)
 
 
-def _item_key(item):
-    # One call per item: _var_key(item[0]) behind a lambda would be two.
-    return (_KIND_ORDER[item[0][0]], item[0][1])
-
-
-def _sorted_items(d):
-    """The nonzero (variable, exponent) pairs of ``d`` in variable order."""
-    return tuple(sorted([it for it in d.items() if it[1]], key=_item_key))
+def _in_variable_order(entries, key=None):
+    """Sort variables, or (variable, exponent) items with ``key`` =
+    _VARIABLE, into variable order."""
+    out = sorted(entries, key=key)
+    i = bisect_left(out, _BEFORE_FIRST_X, key=key)
+    return out[i:] + out[:i]
 
 
 def _add_power2(d, m, exp2):
     """Add the doubled exponents of m^(exp2/2) into ``d`` and return it.
     Requires the power to be an exact Laurent monomial."""
-    for v, e in m._items:
+    for v, e in m._exps.items():
         num = e * exp2
         if num % 2:
             raise SubstituteNonMonomial(
@@ -84,26 +89,35 @@ class Mono:
     """A Laurent monomial: a finite map from variables to doubled exponents.
 
     Instances are immutable and hashable. Zero exponents are never stored.
+    The exponents live in a dict in no particular order; the items in
+    variable order are sorted once, on first request, for output.
     """
 
-    __slots__ = ("_items", "_hash")
+    __slots__ = ("_exps", "_hash", "_items")
 
     def __init__(self, items=()):
         d = {}
         for v, e in dict(items).items():
             if v[0] not in _KIND_ORDER:
                 raise AlgebraError("unknown variable kind %r" % (v[0],))
-            d[v] = int(e)
-        self._items = _sorted_items(d)
-        self._hash = hash(self._items)
+            e = int(e)
+            if e:
+                d[v] = e
+        self._exps = d
+        self._hash = hash(frozenset(d.items()))
+        self._items = None
 
     @classmethod
     def _trusted(cls, d):
         """Build from a dict whose variables and integer exponents came
-        out of other monomials, so nothing is checked again."""
+        out of other monomials, so nothing is checked again. Zero
+        exponents are dropped; the monomial keeps ``d``."""
+        if 0 in d.values():
+            d = {v: e for v, e in d.items() if e}
         m = cls.__new__(cls)
-        m._items = _sorted_items(d)
-        m._hash = hash(m._items)
+        m._exps = d
+        m._hash = hash(frozenset(d.items()))
+        m._items = None
         return m
 
     @classmethod
@@ -115,42 +129,50 @@ class Mono:
         return cls({var(kind, label): exp2})
 
     def items(self):
+        """The (variable, doubled exponent) pairs in variable order."""
+        if self._items is None:
+            self._items = tuple(
+                _in_variable_order(self._exps.items(), _VARIABLE))
         return self._items
 
     def exponent2(self, v):
-        for w, e in self._items:
-            if w == v:
-                return e
-        return 0
+        return self._exps.get(v, 0)
 
     def variables(self):
-        return tuple(v for v, _ in self._items)
+        return tuple(v for v, _ in self.items())
 
     def degree2(self):
-        return sum(e for _, e in self._items)
+        return sum(self._exps.values())
 
     def is_unit(self):
-        return not self._items
+        return not self._exps
 
     def mul(self, other):
-        if not other._items:
+        a, b = self._exps, other._exps
+        if not b:
             return self
-        if not self._items:
+        if not a:
             return other
-        d = dict(self._items)
-        for v, e in other._items:
-            d[v] = d.get(v, 0) + e
+        if len(a) < len(b):
+            a, b = b, a
+        d = a.copy()
+        for v, e in b.items():
+            e += d.get(v, 0)
+            if e:
+                d[v] = e
+            else:
+                del d[v]
         return Mono._trusted(d)
 
     def inverse(self):
-        return Mono._trusted({v: -e for v, e in self._items})
+        return Mono._trusted({v: -e for v, e in self._exps.items()})
 
     def power2(self, exp2):
         """Raise to the power exp2/2. Requires the result to be integral."""
         return Mono._trusted(_add_power2({}, self, exp2))
 
     def __eq__(self, other):
-        return isinstance(other, Mono) and self._items == other._items
+        return isinstance(other, Mono) and self._exps == other._exps
 
     def __hash__(self):
         return self._hash
@@ -178,6 +200,18 @@ class Poly:
                 d[m] = c
         self._terms = d
         self._hash = None
+
+    @classmethod
+    def _trusted(cls, d):
+        """Build from a dict of Mono keys and integer coefficients that
+        came out of other polynomials; only zero coefficients are dropped.
+        The polynomial keeps ``d``."""
+        if 0 in d.values():
+            d = {m: c for m, c in d.items() if c}
+        p = cls.__new__(cls)
+        p._terms = d
+        p._hash = None
+        return p
 
     @classmethod
     def zero(cls):
@@ -208,7 +242,7 @@ class Poly:
 
         def key(m):
             vec = [0] * width
-            for v, e in m._items:
+            for v, e in m._exps.items():
                 vec[0] -= e
                 vec[index[v]] = -e
             return vec
@@ -221,8 +255,8 @@ class Poly:
     def variables(self):
         vs = set()
         for m in self._terms:
-            vs.update(m.variables())
-        return sorted(vs, key=_var_key)
+            vs.update(m._exps)
+        return _in_variable_order(vs)
 
     def is_zero(self):
         return not self._terms
@@ -243,12 +277,12 @@ class Poly:
         d = dict(self._terms)
         for m, c in other._terms.items():
             d[m] = d.get(m, 0) + c
-        return Poly(d)
+        return Poly._trusted(d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly({m: -c for m, c in self._terms.items()})
+        return Poly._trusted({m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other):
         return self + (-_coerce(other))
@@ -259,13 +293,7 @@ class Poly:
     def __mul__(self, other):
         if isinstance(other, Mono):
             other = Poly.from_mono(other)
-        other = _coerce(other)
-        d = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
-                m = m1.mul(m2)
-                d[m] = d.get(m, 0) + c1 * c2
-        return Poly(d)
+        return Poly._trusted(_add_product({}, self, _coerce(other)))
 
     __rmul__ = __mul__
 
@@ -315,14 +343,14 @@ class Poly:
         out = {}
         for m, c in self._terms.items():
             d = {}
-            for v, e in m._items:
+            for v, e in m._exps.items():
                 if v in vals:
                     _add_power2(d, vals[v], e)
                 else:
                     d[v] = d.get(v, 0) + e
             acc = Mono._trusted(d)
             out[acc] = out.get(acc, 0) + c
-        return Poly(out)
+        return Poly._trusted(out)
 
     def tropical_eval(self, variables=None):
         """Evaluate in the tropical semifield on the given variables.
@@ -343,6 +371,15 @@ class Poly:
             if lo:
                 out[v] = lo
         return Mono(out)
+
+
+def _add_product(d, p, q):
+    """Add the terms of p * q into the dict ``d`` and return it."""
+    for m1, c1 in p._terms.items():
+        for m2, c2 in q._terms.items():
+            m = m1.mul(m2)
+            d[m] = d.get(m, 0) + c1 * c2
+    return d
 
 
 def _coerce(p):
@@ -468,6 +505,11 @@ def parse_poly(text):
 # 2x2 matrices
 
 
+def _product_sum(p1, q1, p2, q2):
+    """p1 * q1 + p2 * q2, summed in one dict."""
+    return Poly._trusted(_add_product(_add_product({}, p1, q1), p2, q2))
+
+
 class Mat2:
     """A 2x2 matrix with Laurent polynomial entries."""
 
@@ -485,10 +527,10 @@ class Mat2:
 
     def __mul__(self, other):
         return Mat2(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
+            _product_sum(self.a, other.a, self.b, other.c),
+            _product_sum(self.a, other.b, self.b, other.d),
+            _product_sum(self.c, other.a, self.d, other.c),
+            _product_sum(self.c, other.b, self.d, other.d),
         )
 
     def __eq__(self, other):

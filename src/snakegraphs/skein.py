@@ -555,8 +555,15 @@ def ptolemy_check(tri, eta_label, theta_curve):
 # -- JSON interchange ------------------------------------------------------
 
 
-_INSTANCE_KEYS = {"variant", "curves", "sigma1", "sigma2", "split_index",
-                  "loop_rotation", "insert", "lamination_counts"}
+# The keys an instance document of each variant may carry besides
+# "variant", "curves" and "lamination_counts": the ones its builder reads.
+_VARIANT_KEYS = {
+    ARC_ARC: {"sigma1", "sigma2"},
+    WITH_LOOP: {"split_index", "loop_rotation"},
+    SELF_INTERSECTION: {"split_index", "insert"},
+}
+_COMMON_KEYS = {"variant", "curves", "lamination_counts"}
+_INSTANCE_KEYS = _COMMON_KEYS.union(*_VARIANT_KEYS.values())
 
 
 def instance_from_dict(doc, named_curves=()):
@@ -565,10 +572,23 @@ def instance_from_dict(doc, named_curves=()):
     ``named_curves``."""
     if not isinstance(doc, dict):
         raise ValidationError("instance document must be an object")
-    _reject_unknown(doc, _INSTANCE_KEYS, "instance")
+    variant = doc.get("variant")
+    if isinstance(variant, str) and variant in _VARIANTS:
+        # A known variant names the keys and roles it reads; anything else
+        # would be silently ignored.
+        _reject_unknown(doc, _COMMON_KEYS | _VARIANT_KEYS[variant],
+                        "%s instance" % variant)
+        _, lhs_roles, terms_roles = _VARIANTS[variant]
+        roles = set(lhs_roles).union(*terms_roles)
+    else:
+        _reject_unknown(doc, _INSTANCE_KEYS, "instance")
+        roles = None
     by_name = {c.name: c for c in named_curves if c.name}
     curves = {}
-    for role, val in _typed(doc, "curves", dict, {}).items():
+    role_curves = _typed(doc, "curves", dict, {})
+    if roles is not None:
+        _reject_unknown(role_curves, roles, "%s 'curves' role" % variant)
+    for role, val in role_curves.items():
         if isinstance(val, str):
             if val not in by_name:
                 raise ValidationError("unknown curve name %r" % (val,))
@@ -582,15 +602,18 @@ def instance_from_dict(doc, named_curves=()):
             raise ValidationError("%r must be an integer, not %r"
                                   % (key, doc[key]))
     if doc.get("lamination_counts") is not None:
-        for role, counts in _typed(doc, "lamination_counts", dict,
-                                   None).items():
+        role_counts = _typed(doc, "lamination_counts", dict, None)
+        if roles is not None:
+            _reject_unknown(role_counts, roles,
+                            "%s 'lamination_counts' role" % variant)
+        for role, counts in role_counts.items():
             if not isinstance(counts, dict) or not all(
                     type(n) is int for n in counts.values()):
                 raise ValidationError(
                     "lamination counts of %r must map labels to integers, "
                     "not %r" % (role, counts))
     return SkeinInstance(
-        variant=doc.get("variant"),
+        variant=variant,
         curves=curves,
         sigma1=parse_steps(_typed(doc, "sigma1", str, "")),
         sigma2=parse_steps(_typed(doc, "sigma2", str, "")),

@@ -365,16 +365,19 @@ class SnakeGraph:
         """Height of a matching relative to the minimal one.
 
         The symmetric difference is a union of cycles; a tile contributes
-        its diagonal's coefficient variable once per enclosing cycle,
-        detected by an even-odd ray cast from the tile center.
+        its diagonal's coefficient variable when a cycle encloses it.
+        A walk from outside the graph enters tile 0 through corner ``a``
+        and each later tile through its glue edge; it is inside a cycle
+        exactly when it has crossed an odd number of edges of the
+        difference.
         """
-        diff = set(matching) ^ set(minimal)
-        verticals = [key for key in diff if key[0][0] == key[1][0]]
+        matching, minimal = frozenset(matching), frozenset(minimal)
+        inside = False
         enclosed = []
-        for vid, (px, py) in zip(self.diagonals, self.positions):
-            hits = sum(1 for (v1, v2) in verticals
-                       if v1[0] > px and min(v1[1], v2[1]) == py)
-            if hits % 2:
+        for vid, key in zip(self.diagonals,
+                            (self.edge_key_a,) + self.glue_keys):
+            inside ^= (key in matching) != (key in minimal)
+            if inside:
                 enclosed.append(_curly(vid))
         return _monomial(enclosed)
 

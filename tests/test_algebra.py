@@ -347,3 +347,77 @@ class TestTrustedConstruction:
         (m, c), = q.terms()
         assert c == 3
         assert len(m.items()) == n - n // 4
+
+
+def _validated(p):
+    """``p`` rebuilt term by term through the validating constructors."""
+    return Poly({Mono(dict(m.items())): c for m, c in p.terms()})
+
+
+class TestOrderAtTheEdge:
+    """Monomials and polynomials keep their terms in dicts; the variable
+    order is computed only when something reads items(), terms() or the
+    text form."""
+
+    @given(wide_dicts, st.randoms())
+    def test_insertion_order_does_not_matter(self, d, rnd):
+        items = list(d.items())
+        rnd.shuffle(items)
+        m, permuted = Mono(d), Mono(dict(items))
+        assert m == permuted
+        assert hash(m) == hash(permuted)
+        assert m.items() == permuted.items()
+
+    @given(wide_dicts, wide_dicts)
+    def test_cancelled_exponents_are_not_stored(self, da, db):
+        a = Mono(da)
+        partial = a.mul(Mono(db))
+        assert all(partial._exps.values())
+        assert all(e for _, e in partial.items())
+        unit = a.mul(a.inverse())
+        assert unit._exps == {}
+        assert unit == Mono.unit()
+        assert hash(unit) == hash(Mono.unit())
+
+    @given(wide_polys)
+    def test_difference_with_itself_is_zero(self, p):
+        z = p - p
+        assert z == Poly.zero()
+        assert hash(z) == hash(Poly.zero())
+        assert z.terms() == []
+
+    @given(st.lists(wide_polys, min_size=8, max_size=8))
+    def test_mat2_product_is_the_entrywise_formula(self, entries):
+        a, b, c, d, e, f, g, h = entries
+        prod = Mat2(a, b, c, d) * Mat2(e, f, g, h)
+        expected = (a * e + b * g, a * f + b * h, c * e + d * g,
+                    c * f + d * h)
+        for got, want in zip((prod.a, prod.b, prod.c, prod.d), expected):
+            assert got == want
+            assert got == _validated(got)
+            assert hash(got) == hash(_validated(got))
+            assert 0 not in [coeff for _, coeff in got.terms()]
+
+    def test_neither_route_sorts_a_product(self, monkeypatch):
+        # The 14-tile snake with the most matchings (987). Only the
+        # matching order reads a monomial's items: one sort per height.
+        # Every product used to sort its variables.
+        from snakegraphs import algebra
+        from snakegraphs.snakecore import SnakeGraph
+        g = SnakeGraph([("x", "i%d" % j) for j in range(14)],
+                       ("NEEN" * 4)[:13],
+                       [("x", "g%d" % j) for j in range(13)],
+                       ("b", "a"), ("b", "b"), ("b", "w"), ("b", "z"))
+        sorts = []
+
+        def counting_sorted(iterable, **kwargs):
+            sorts.append(1)
+            return sorted(iterable, **kwargs)
+
+        monkeypatch.setattr(algebra, "sorted", counting_sorted,
+                            raising=False)
+        by_matrices = g.enumerator_by_matrices()
+        assert sorts == []
+        by_matchings = g.enumerator_by_matchings()
+        assert by_matchings == by_matrices
+        assert len(sorts) <= 987

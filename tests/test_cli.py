@@ -263,6 +263,15 @@ class TestErrors:
          lambda d: d["instance"].update(loop_rotation=None)),
         ("skein_octagon",
          lambda d: d["instance"].update(loop_rotation=True)),
+        ("skein_octagon",
+         lambda d: d["instance"].update(insert="2 cw x:0-3")),
+        ("skein_octagon", lambda d: d["instance"].update(loop_rotation=7)),
+        ("skein_octagon", lambda d: d["instance"].update(split_index=1)),
+        ("skein_octagon",
+         lambda d: d["instance"]["curves"].update(delta="alpha1")),
+        ("skein_octagon",
+         lambda d: d["instance"]["lamination_counts"].update(
+             delta={"0-2": 1})),
     ], ids=["start-range", "start-type", "end-type", "basepoint-range",
             "arc-without-name", "kinks-type", "self-folded-no-radius",
             "self-folded-not-object", "triangle-number",
@@ -277,7 +286,9 @@ class TestErrors:
             "curve-name-list", "curve-puncture-number",
             "crossing-label-list", "crossing-label-number",
             "split-index-string", "split-index-fraction",
-            "loop-rotation-null", "loop-rotation-bool"])
+            "loop-rotation-null", "loop-rotation-bool",
+            "arc-arc-insert", "arc-arc-loop-rotation", "arc-arc-split-index",
+            "unknown-curve-role", "unknown-counts-role"])
     def test_malformed_input_is_one_line(self, tmp_path, capsys, name, edit):
         doc = json.loads(golden(name + ".json"))
         edit(doc)

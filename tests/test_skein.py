@@ -30,6 +30,7 @@ from snakegraphs.selftest import (
 )
 from snakegraphs.skein import (
     ARC_ARC,
+    SELF_INTERSECTION,
     WITH_LOOP,
     IsotopyMismatch,
     LoosenedMPath,
@@ -307,6 +308,36 @@ class TestInterchange:
         with pytest.raises(ValidationError):
             instance_from_dict({"variant": ARC_ARC,
                                 "curves": {"gamma1": "nope"}})
+
+    @pytest.mark.parametrize("doc", [
+        {"variant": ARC_ARC, "split_index": 1},
+        {"variant": WITH_LOOP, "sigma1": ""},
+        {"variant": WITH_LOOP, "insert": ""},
+        {"variant": SELF_INTERSECTION, "loop_rotation": 0},
+        {"variant": SELF_INTERSECTION, "sigma2": ""},
+        {"variant": ARC_ARC, "curves": {"alpha": "diag"}},
+        {"variant": WITH_LOOP, "curves": {"alpha1": "diag"}},
+        {"variant": SELF_INTERSECTION, "lamination_counts": {"gamma1": {}}},
+    ])
+    def test_variant_refuses_what_it_never_reads(self, doc):
+        from snakegraphs.surface import ValidationError
+        named = [Curve("arc", ["0-2"], 0, 1, name="diag")]
+        with pytest.raises(ValidationError) as err:
+            instance_from_dict(doc, named_curves=named)
+        assert doc["variant"] in str(err.value)
+
+    def test_variant_accepts_its_own_keys(self):
+        named = [Curve("arc", ["0-2"], 0, 1, name="diag")]
+        inst = instance_from_dict(
+            {"variant": SELF_INTERSECTION, "split_index": 1,
+             "insert": "2 cw x:0-2", "curves": {"gamma": "diag"},
+             "lamination_counts": {"beta": {"0-2": 1}}},
+            named_curves=named)
+        assert inst.split_index == 1 and len(inst.insert_steps) == 1
+        inst = instance_from_dict(
+            {"variant": WITH_LOOP, "split_index": 1, "loop_rotation": 2,
+             "curves": {"alpha": "diag"}}, named_curves=named)
+        assert (inst.split_index, inst.loop_rotation) == (1, 2)
 
     def test_inline_curve_keeps_its_puncture(self):
         inst = instance_from_dict(

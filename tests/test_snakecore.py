@@ -6,9 +6,11 @@ was written. Larger cases are cross-checked between the three
 independent routes: matching sum, exhaustive matcher, matrix product.
 """
 
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from snakegraphs.algebra import Mono, Poly, format_poly, parse_poly
 from snakegraphs.snakecore import (
@@ -18,7 +20,9 @@ from snakegraphs.snakecore import (
     DegenerateBand,
     LengthMismatch,
     SnakeGraph,
+    _curly,
     _matching_sum,
+    _monomial,
 )
 
 
@@ -143,6 +147,42 @@ class TestMatchings:
             g, _ = random_snake(rng, d=rng.randint(7, 9))
             assert (sorted(g.perfect_matchings(), key=sorted)
                     == g.matchings_by_exhaustion())
+
+
+def ray_cast_height(g, matching, minimal):
+    """Oracle for SnakeGraph.height_mono: a tile is enclosed when an
+    even-odd ray cast east from its center meets an odd number of
+    vertical edges of the symmetric difference."""
+    diff = set(matching) ^ set(minimal)
+    verticals = [key for key in diff if key[0][0] == key[1][0]]
+    enclosed = []
+    for vid, (px, py) in zip(g.diagonals, g.positions):
+        hits = sum(1 for (v1, v2) in verticals
+                   if v1[0] > px and min(v1[1], v2[1]) == py)
+        if hits % 2:
+            enclosed.append(_curly(vid))
+    return _monomial(enclosed)
+
+
+def assert_heights_match_ray_cast(g):
+    for rel in (1, -1):
+        minimal = g.minimal_matching(rel)
+        for m in g.perfect_matchings(rel):
+            assert g.height_mono(m, minimal) == ray_cast_height(g, m,
+                                                                minimal)
+
+
+class TestHeight:
+    def test_every_word_up_to_nine_tiles(self):
+        for d in range(1, 10):
+            for shapes in itertools.product((NORTH, EAST), repeat=d - 1):
+                assert_heights_match_ray_cast(simple_snake(d, shapes))
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.sampled_from((NORTH, EAST)), min_size=9,
+                    max_size=13))
+    def test_random_words_of_ten_to_fourteen_tiles(self, shapes):
+        assert_heights_match_ray_cast(simple_snake(len(shapes) + 1, shapes))
 
 
 class TestMatrixRoute:
