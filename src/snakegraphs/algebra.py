@@ -249,9 +249,6 @@ class Poly:
 
         return [(m, self._terms[m]) for m in sorted(self._terms, key=key)]
 
-    def coefficient(self, m):
-        return self._terms.get(m, 0)
-
     def variables(self):
         vs = set()
         for m in self._terms:
@@ -364,7 +361,6 @@ class Poly:
             raise ZeroPolynomial("tropical evaluation of the zero polynomial")
         if variables is None:
             variables = self.variables()
-        variables = [v for v in variables]
         out = {}
         for v in variables:
             lo = min(m.exponent2(v) for m in self._terms)

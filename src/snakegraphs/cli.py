@@ -116,6 +116,8 @@ def _cmd_matchings(args, out):
     tri, curves = _load_surface(args.input)
     rows = []
     for curve in _pick_curves(curves, args.curve, args.max_tiles):
+        if not curve.has_graph():
+            continue
         g = graph_for(tri, curve)
         triples = (g.good_matchings() if curve.kind == "loop"
                    else g.weighted_matchings())
@@ -138,6 +140,8 @@ def _cmd_matchings(args, out):
 def _cmd_snake_dot(args, out):
     tri, curves = _load_surface(args.input)
     for curve in _pick_curves(curves, args.curve, args.max_tiles):
+        if not curve.has_graph():
+            continue
         out.write(graph_for(tri, curve).to_dot())
         out.write("\n")
     return 0
@@ -146,7 +150,7 @@ def _cmd_snake_dot(args, out):
 def _cmd_verify(args, out):
     tri, curves = _load_surface(args.input)
     for curve in _pick_curves(curves, args.curve, args.max_tiles):
-        if curve.kind not in ("arc", "loop"):
+        if not curve.has_graph():
             out.write("curve %s: skipped (no matrix route)\n"
                       % (curve.name or "?",))
             continue

@@ -13,7 +13,7 @@ import os
 import random
 import sys
 
-from .algebra import Mono, parse_poly
+from .algebra import Mono, SnakeGraphsError, parse_poly
 from .mpath import (
     CW,
     MPath,
@@ -395,11 +395,17 @@ def trial_counts(override=None):
     SNAKE_SELFTEST_TRIALS environment variable) when given."""
     if override is None:
         raw = os.environ.get("SNAKE_SELFTEST_TRIALS")
-        override = int(raw) if raw else None
+        try:
+            override = int(raw) if raw else None
+        except ValueError:
+            raise SnakeGraphsError(
+                "SNAKE_SELFTEST_TRIALS must be an integer, not %r"
+                % (raw,)) from None
     counts = dict(_DEFAULT_TRIALS)
     if override is not None:
         if override < 1:
-            raise ValueError("trial override must be positive")
+            raise SnakeGraphsError(
+                "trial override must be positive, not %r" % (override,))
         counts = {k: min(v, override) for k, v in counts.items()}
     return counts
 

@@ -48,6 +48,7 @@ from .surface import (
     curve_from_dict,
     expand,
     phi_substitution,
+    signed_reading,
 )
 
 
@@ -220,16 +221,6 @@ def monomial_quotient(num, den):
     return None
 
 
-def _signed(curve, read):
-    """``read()`` signed by the curve's kinks; the contractible kinds have
-    fixed values instead."""
-    if curve.kind == "contractible_monogon_arc":
-        return Poly.zero()
-    if curve.kind == "contractible_loop":
-        return Poly.const(-2)
-    return -read() if curve.sign() < 0 else read()
-
-
 def _match_composite(steps, curve, role, target):
     """The coefficient monomial relating a composite reading to the
     declared curve's reduced reading ``target()``."""
@@ -373,11 +364,11 @@ def verify_skein(tri, inst):
         return once("path", role, lambda: path_for_curve(tri, curves[role]))
 
     def bar(role):
-        return once("bar", role, lambda: _signed(
+        return once("bar", role, lambda: signed_reading(
             curves[role], lambda: chi_bar(path(role))))
 
     def hat(role):
-        return once("hat", role, lambda: _signed(
+        return once("hat", role, lambda: signed_reading(
             curves[role], lambda: chi(tri, path(role), keep_boundary=True)))
 
     def match(steps, role):

@@ -173,6 +173,30 @@ def _edge_key(v1, v2):
     return tuple(sorted((v1, v2)))
 
 
+def _matchings_by_exhaustion(vertices, ends):
+    """Oracle: every perfect matching of the graph on ``vertices`` whose
+    edge ids map to their two ends in ``ends``.
+
+    An include/exclude recursion over the edges in the order given,
+    abandoned once an uncovered vertex has no edge left. It shares no
+    step with ``SnakeGraph._matchings``.
+    """
+    ids = list(ends)
+    last = {v: i for i, e in enumerate(ids) for v in ends[e]}
+    found = []
+
+    def rec(i, covered, chosen):
+        if len(covered) == len(vertices):
+            found.append(frozenset(chosen))
+        elif all(v in covered or last[v] >= i for v in vertices):
+            rec(i + 1, covered, chosen)
+            if not ends[ids[i]] & covered:
+                rec(i + 1, covered | ends[ids[i]], chosen + [ids[i]])
+
+    rec(0, frozenset(), [])
+    return found
+
+
 class SnakeGraph:
     """A labelled snake graph on ``d`` tiles.
 
@@ -284,58 +308,49 @@ class SnakeGraph:
 
     # -- matchings ---------------------------------------------------------
 
-    def _match_rec(self, keys_available, covered, chosen, out):
-        free = [v for v in self.vertices if v not in covered]
-        if not free:
-            out.append(frozenset(chosen))
-            return
-        v = free[0]
-        for key in self._incidence[v]:
-            if key in keys_available and not (set(key) & covered):
-                self._match_rec(keys_available, covered | set(key),
-                                chosen + [key], out)
+    def _matchings(self, keys):
+        """Every perfect matching that uses only edges in ``keys``.
+
+        Walks the sorted vertices to the first uncovered one and tries
+        each of its incident edges in turn.
+        """
+        verts, inc = self.vertices, self._incidence
+        covered, chosen, out = set(), [], []
+
+        def rec(i):
+            while i < len(verts) and verts[i] in covered:
+                i += 1
+            if i == len(verts):
+                out.append(frozenset(chosen))
+                return
+            v = verts[i]
+            for key in inc[v]:
+                if key in keys and covered.isdisjoint(key):
+                    covered.update(key)
+                    chosen.append(key)
+                    rec(i + 1)
+                    chosen.pop()
+                    covered.difference_update(key)
+
+        rec(0)
+        return out
 
     def perfect_matchings(self, rel=1):
         """All perfect matchings, minimal first, in a deterministic order."""
-        out = []
-        self._match_rec(set(self.edge_labels), set(), [], out)
         minimal = self.minimal_matching(rel)
-        return sorted(out, key=lambda m: self._order_key(m, minimal))
 
-    def _order_key(self, m, minimal):
-        h = self.height_mono(m, minimal)
-        return (h.degree2(), h.items(), sorted(m))
+        def order(m):
+            h = self.height_mono(m, minimal)
+            return (h.degree2(), h.items(), sorted(m))
+
+        return sorted(self._matchings(self.edge_labels), key=order)
 
     def matchings_by_exhaustion(self):
-        """Independent oracle enumerator.
-
-        An include/exclude recursion over the sorted edge list with
-        dead-end pruning. Output order is by sorted edge sets, not
-        matching order.
-        """
-        keys = sorted(self.edge_labels)
-        n = len(self.vertices)
-        found = []
-
-        def rec(i, covered, chosen):
-            if len(covered) == n:
-                found.append(frozenset(chosen))
-                return
-            if i == len(keys):
-                return
-            # prune: every vertex only incident to already-skipped edges
-            # can no longer be covered
-            remaining = keys[i:]
-            for v in self.vertices:
-                if v not in covered and not any(v in k for k in remaining):
-                    return
-            rec(i + 1, covered, chosen)
-            key = keys[i]
-            if not (set(key) & covered):
-                rec(i + 1, covered | set(key), chosen + [key])
-
-        rec(0, set(), [])
-        return sorted(found, key=sorted)
+        """Independent oracle enumerator. Output order is by sorted edge
+        sets, not matching order."""
+        ends = {key: frozenset(key) for key in sorted(self.edge_labels)}
+        return sorted(_matchings_by_exhaustion(self.vertices, ends),
+                      key=sorted)
 
     def minimal_matching(self, rel=1):
         """The all-boundary matching singled out by the orientation bit.
@@ -345,9 +360,7 @@ class SnakeGraph:
         """
         if rel not in (1, -1):
             raise SnakeError("rel must be +1 or -1")
-        boundary = set(self.edge_labels) - set(self.glue_keys)
-        out = []
-        self._match_rec(boundary, set(), [], out)
+        out = self._matchings(set(self.edge_labels) - set(self.glue_keys))
         if len(out) != 2:
             raise SnakeError(
                 "expected exactly 2 all-boundary matchings, found %d"
@@ -392,7 +405,7 @@ class SnakeGraph:
     def crossing_mono(self):
         return _monomial(self.diagonals)
 
-    def corner_partition_sums(self, rel=1):
+    def corner_partition_sums(self):
         """Split the matching sum by which corner edges a matching uses.
 
         Every perfect matching contains exactly one of the two first-tile
@@ -403,7 +416,7 @@ class SnakeGraph:
         for the classes using (a,w), (b,w), (a,z), (b,z) respectively.
         """
         rows = {"aw": [], "bw": [], "az": [], "bz": []}
-        for row in self.weighted_matchings(rel):
+        for row in self.weighted_matchings():
             m = row[0]
             key = ("a" if self.edge_key_a in m else "b") + \
                   ("w" if self.edge_key_w in m else "z")
@@ -464,8 +477,8 @@ class SnakeGraph:
                 * path_matrix(start))
         return Poly.from_mono(self.crossing_mono()) * prod.upper_right()
 
-    def enumerator_by_matchings(self, rel=1):
-        return _matching_sum(self.weighted_matchings(rel))
+    def enumerator_by_matchings(self):
+        return _matching_sum(self.weighted_matchings())
 
     # -- output ------------------------------------------------------------
 
@@ -511,8 +524,6 @@ class BandGraph:
         )
         base = self.base
         d = base.d
-        self.edge_key_cut = base.edge_key_a
-        self.edge_key_cut_partner = base.edge_key_z
         px, py = base.positions[-1]
         self.vertex_x_partner = (px + 1, py + 1)
         self.vertex_y_partner = (px + 1, py) if d % 2 == 1 else (px, py + 1)
@@ -521,41 +532,30 @@ class BandGraph:
     def d(self):
         return self.base.d
 
-    def _classify(self, matching):
-        base = self.base
-        has_a = base.edge_key_a in matching
-        has_w = base.edge_key_w in matching
-        if has_a and has_w:
-            return "A"
-        if not has_a and has_w:
-            return "B"
-        if has_a and not has_w:
-            return "C"
-        return "D"
-
-    def good_matchings(self, rel=1):
+    def good_matchings(self):
         """Good matchings descended from the base snake's matchings.
 
         Returns a list of (edge set, weight, height) triples; edge sets
-        use the base snake's edge keys with one cut copy removed. Class B
-        (first-corner b together with w) never descends.
+        use the base snake's edge keys with one cut copy removed: the
+        copy at corner a when the matching uses it, else the copy at z.
+        A matching that uses w but not a never descends.
         """
         base = self.base
+        a, w, z = base.edge_key_a, base.edge_key_w, base.edge_key_z
         cut = Mono({self.cut_label: -2})
         out = []
-        for m, w, h in base.weighted_matchings(rel):
-            cls = self._classify(m)
-            if cls == "B":
-                continue
-            dropped = base.edge_key_z if cls == "D" else base.edge_key_a
-            out.append((m - {dropped}, w.mul(cut), h))
+        for m, weight, h in base.weighted_matchings():
+            if a in m:
+                out.append((m - {a}, weight.mul(cut), h))
+            elif w not in m:
+                out.append((m - {z}, weight.mul(cut), h))
         return out
 
     def crossing_mono(self):
         return self.base.crossing_mono()
 
-    def enumerator_by_matchings(self, rel=1):
-        return _matching_sum(self.good_matchings(rel))
+    def enumerator_by_matchings(self):
+        return _matching_sum(self.good_matchings())
 
     def step_groups(self):
         """The standard step sequence of the loop, grouped: one group per
@@ -585,58 +585,24 @@ class BandGraph:
         route instead.
         """
         base = self.base
-        vmap = {v: v for v in base.vertices}
-        vmap[self.vertex_x_partner] = (0, 0)
-        vmap[self.vertex_y_partner] = (1, 0)
-        cut_id = "cut"
+        x, y = self.vertex_x_partner, self.vertex_y_partner
+        vmap = {x: (0, 0), y: (1, 0)}
+        cuts = (base.edge_key_a, base.edge_key_z)
+        ends, labels, last_side = {}, {}, set()
+        for key in sorted(base.edge_labels):
+            eid = "cut" if key in cuts else key
+            ends[eid] = frozenset(vmap.get(v, v) for v in key)
+            labels[eid] = base.edge_labels[key]
+            if x in key or y in key:
+                last_side.add(eid)
+        vertices = sorted(set().union(*ends.values()))
 
-        def edge_id(key):
-            if key in (base.edge_key_a, base.edge_key_z):
-                return cut_id
-            return key
+        def side(m, v):
+            return next(e for e in m if v in ends[e]) in last_side
 
-        edges = {}
-        for key, label in base.edge_labels.items():
-            eid = edge_id(key)
-            pair = frozenset(vmap[v] for v in key)
-            edges[eid] = (pair, label)
-        vertices = sorted({v for pair, _ in edges.values() for v in pair})
-        incidence = {v: [] for v in vertices}
-        for eid in sorted(edges, key=str):
-            for v in edges[eid][0]:
-                incidence[v].append(eid)
-
-        found = []
-
-        def rec(covered, chosen):
-            free = [v for v in vertices if v not in covered]
-            if not free:
-                found.append(frozenset(chosen))
-                return
-            v = free[0]
-            for eid in incidence[v]:
-                pair = edges[eid][0]
-                if not (pair & covered):
-                    rec(covered | pair, chosen + [eid])
-
-        rec(set(), [])
-
-        last_side = set()
-        for key in base.edge_labels:
-            if self.vertex_x_partner in key or self.vertex_y_partner in key:
-                last_side.add(edge_id(key))
-
-        good = []
-        for m in found:
-            if cut_id in m:
-                good.append(m)
-                continue
-            at_x = [e for e in m if (0, 0) in edges[e][0]]
-            at_y = [e for e in m if (1, 0) in edges[e][0]]
-            ex, ey = at_x[0], at_y[0]
-            if (ex in last_side) == (ey in last_side):
-                good.append(m)
-        out = [(m, _monomial(edges[eid][1] for eid in m)) for m in good]
+        good = [m for m in _matchings_by_exhaustion(vertices, ends)
+                if "cut" in m or side(m, (0, 0)) == side(m, (1, 0))]
+        out = [(m, _monomial(labels[eid] for eid in m)) for m in good]
         return sorted(out, key=lambda it: sorted(map(str, it[0])))
 
     def to_dot(self):

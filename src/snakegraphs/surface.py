@@ -303,6 +303,11 @@ class Curve:
     def sign(self):
         return -1 if self.kinks % 2 else 1
 
+    def has_graph(self):
+        """Arcs have a snake graph and loops a band graph; the declared
+        special kinds have neither."""
+        return self.kind in ("arc", "loop")
+
 
 class Layout:
     """The combinatorial unfolding of a curve: the shape word, glue
@@ -510,13 +515,13 @@ def build_band_graph(tri, curve):
 def graph_for(tri, curve):
     """The snake graph of an arc or the band graph of a loop; other
     kinds have neither."""
+    if not curve.has_graph():
+        raise ValidationError(
+            "curve %r of kind %r has no snake or band graph"
+            % (curve.name or "?", curve.kind))
     if curve.kind == "arc":
         return build_snake_graph(tri, curve)
-    if curve.kind == "loop":
-        return build_band_graph(tri, curve)
-    raise ValidationError(
-        "curve %r of kind %r has no snake or band graph"
-        % (curve.name or "?", curve.kind))
+    return build_band_graph(tri, curve)
 
 
 # -- expansion -------------------------------------------------------------
@@ -593,13 +598,19 @@ def _finish(tri, raw, keep_boundary):
     return ClusterElement(x, f, shift, normalized)
 
 
-def expand(tri, curve, keep_boundary=False, rel=1):
-    """Expand a curve into its Laurent polynomial by the matching rule."""
+def signed_reading(curve, read):
+    """``read()`` signed by the curve's kinks; the contractible kinds have
+    fixed values instead."""
     if curve.kind == "contractible_monogon_arc":
-        raw = Poly.zero()
-    elif curve.kind == "contractible_loop":
-        raw = Poly.const(-2)
-    elif curve.kind == "puncture_loop":
+        return Poly.zero()
+    if curve.kind == "contractible_loop":
+        return Poly.const(-2)
+    return -read() if curve.sign() < 0 else read()
+
+
+def expand(tri, curve, keep_boundary=False):
+    """Expand a curve into its Laurent polynomial by the matching rule."""
+    if curve.kind == "puncture_loop":
         if curve.puncture is None:
             raise ValidationError("puncture loops need a puncture label")
         p = curve.puncture
@@ -615,10 +626,10 @@ def expand(tri, curve, keep_boundary=False, rel=1):
                          for a in tri.arcs})
         raw = Poly.one() + Poly.from_mono(term)
     else:
-        g = graph_for(tri, curve)
-        raw = g.enumerator_by_matchings(rel).div_mono(g.crossing_mono())
-        if curve.sign() < 0:
-            raw = -raw
+        def read():
+            g = graph_for(tri, curve)
+            return g.enumerator_by_matchings().div_mono(g.crossing_mono())
+        raw = signed_reading(curve, read)
     return _finish(tri, raw, keep_boundary)
 
 
@@ -626,9 +637,8 @@ def expand_by_matrices(tri, curve, keep_boundary=False):
     """Expansion through the transfer-matrix product; used to cross-check
     the matching route. Only defined for plain arcs and loops."""
     g = graph_for(tri, curve)
-    raw = g.enumerator_by_matrices().div_mono(g.crossing_mono())
-    if curve.sign() < 0:
-        raw = -raw
+    raw = signed_reading(curve, lambda: g.enumerator_by_matrices().div_mono(
+        g.crossing_mono()))
     return _finish(tri, raw, keep_boundary)
 
 

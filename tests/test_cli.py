@@ -147,6 +147,18 @@ class TestOtherVerbs:
         assert code == 0
         assert "curve around-puncture: skipped" in text
 
+    @pytest.mark.parametrize("verb", ["matchings", "snake-dot"])
+    def test_graph_verbs_skip_curves_without_graph(self, verb, capsys):
+        # punctured_torus declares a puncture loop, which has no graph
+        code, text = run([verb, fixture("punctured_torus.json")])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        assert "around-puncture" not in text
+        if verb == "snake-dot":
+            assert text.count("graph snake {") == 1
+        else:
+            assert text.startswith("short: ")
+
     def test_selftest_exit_code(self, monkeypatch):
         monkeypatch.setenv("SNAKE_SELFTEST_TRIALS", "3")
         code1, text1 = run(["selftest", "--seed", "2"])
@@ -301,6 +313,16 @@ class TestErrors:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert err.split(": ")[0] in ("ParseError", "ValidationError")
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-3"])
+    def test_bad_selftest_trials_is_one_line(self, monkeypatch, capsys,
+                                             value):
+        monkeypatch.setenv("SNAKE_SELFTEST_TRIALS", value)
+        code, _ = run(["selftest", "--seed", "1"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("SnakeGraphsError: ")
 
     @pytest.mark.parametrize("argv", [
         ["bmatrix", "--seed", "5"],

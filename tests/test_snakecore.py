@@ -303,6 +303,42 @@ class TestBand:
             weights_b = sorted(w.items() for _, w, _ in descended)
             assert weights_a == weights_b
 
+    def test_band_oracle_edge_sets_every_word(self):
+        # weights cannot tell which cut copy a good matching dropped; the
+        # edge sets, with the kept copy renamed as the oracle names it, can
+        for d in range(2, 8):
+            for shapes in itertools.product((NORTH, EAST), repeat=d - 1):
+                g = BandGraph(
+                    [xv("i%d" % (j + 1)) for j in range(d)], shapes,
+                    [xv("g%d" % (j + 1)) for j in range(d - 1)], bv("c"))
+                cuts = (g.base.edge_key_a, g.base.edge_key_z)
+                descended = sorted(
+                    sorted(map(str, ("cut" if k in cuts else k for k in m)))
+                    for m, _, _ in g.good_matchings())
+                oracle = [sorted(map(str, m))
+                          for m, _ in g.good_matchings_by_exhaustion()]
+                assert descended == oracle
+
+    def test_oracles_do_not_use_the_production_search(self, monkeypatch):
+        rng = random.Random(18)
+        snakes = [random_snake(rng, max_d=7)[0] for _ in range(10)]
+        bands = [BandGraph(
+            [xv("i%d" % (j + 1)) for j in range(d)],
+            [rng.choice([NORTH, EAST]) for _ in range(d - 1)],
+            [xv("g%d" % (j + 1)) for j in range(d - 1)], bv("c"))
+            for d in (2, 3, 5, 7)]
+        before = ([g.matchings_by_exhaustion() for g in snakes],
+                  [g.good_matchings_by_exhaustion() for g in bands])
+
+        def refuse(self, keys):
+            raise AssertionError("the oracle called the production search")
+
+        monkeypatch.setattr(SnakeGraph, "_matchings", refuse)
+        after = ([g.matchings_by_exhaustion() for g in snakes],
+                 [g.good_matchings_by_exhaustion() for g in bands])
+        assert after == before
+        assert all(before[0]) and all(before[1])
+
 
 class TestDot:
     def test_snake_dot_contains_all_edges(self):
