@@ -55,6 +55,14 @@ def var(kind, label):
     return (kind, str(label))
 
 
+def _as_dict(items):
+    try:
+        return dict(items)
+    except (TypeError, ValueError) as exc:
+        raise AlgebraError("not a map or a sequence of pairs: %s"
+                           % exc) from None
+
+
 # The variable order sorts by kind, in KINDS order, then by label. KINDS
 # is the code-point order of its letters ("Y" < "b" < "x" < "y") rotated
 # to start at "x", so a plain sort of the variables, rotated at the first
@@ -97,10 +105,14 @@ class Mono:
 
     def __init__(self, items=()):
         d = {}
-        for v, e in dict(items).items():
-            if v[0] not in _KIND_ORDER:
-                raise AlgebraError("unknown variable kind %r" % (v[0],))
-            e = int(e)
+        for v, e in _as_dict(items).items():
+            if not (isinstance(v, tuple) and len(v) == 2 and v[0] in KINDS
+                    and isinstance(v[1], str)):
+                raise AlgebraError("a variable is a (kind, str) pair of a "
+                                   "kind in %s, not %r" % (KINDS, v))
+            if type(e) is not int:  # a bool or a float is refused
+                raise AlgebraError("an exponent must be an int, not %r"
+                                   % (e,))
             if e:
                 d[v] = e
         self._exps = d
@@ -114,6 +126,11 @@ class Mono:
         exponents are dropped; the monomial keeps ``d``."""
         if 0 in d.values():
             d = {v: e for v, e in d.items() if e}
+        return cls._nonzero(d)
+
+    @classmethod
+    def _nonzero(cls, d):
+        """``_trusted`` for a dict known to hold no zero exponent."""
         m = cls.__new__(cls)
         m._exps = d
         m._hash = hash(frozenset(d.items()))
@@ -162,10 +179,10 @@ class Mono:
                 d[v] = e
             else:
                 del d[v]
-        return Mono._trusted(d)
+        return Mono._nonzero(d)
 
     def inverse(self):
-        return Mono._trusted({v: -e for v, e in self._exps.items()})
+        return Mono._nonzero({v: -e for v, e in self._exps.items()})
 
     def power2(self, exp2):
         """Raise to the power exp2/2. Requires the result to be integral."""
@@ -192,10 +209,12 @@ class Poly:
 
     def __init__(self, terms=()):
         d = {}
-        for m, c in dict(terms).items():
+        for m, c in _as_dict(terms).items():
             if not isinstance(m, Mono):
                 raise AlgebraError("polynomial keys must be Mono instances")
-            c = int(c)
+            if type(c) is not int:
+                raise AlgebraError("a coefficient must be an int, not %r"
+                                   % (c,))
             if c:
                 d[m] = c
         self._terms = d
@@ -518,11 +537,18 @@ class Mat2:
         self.d = _coerce(d)
 
     @classmethod
+    def _trusted(cls, a, b, c, d):
+        """Build from four polynomials, coercing nothing."""
+        m = cls.__new__(cls)
+        m.a, m.b, m.c, m.d = a, b, c, d
+        return m
+
+    @classmethod
     def identity(cls):
         return cls(1, 0, 0, 1)
 
     def __mul__(self, other):
-        return Mat2(
+        return Mat2._trusted(
             _product_sum(self.a, other.a, self.b, other.c),
             _product_sum(self.a, other.b, self.b, other.d),
             _product_sum(self.c, other.a, self.d, other.c),

@@ -30,7 +30,6 @@ Grid conventions (frozen, everything else depends on them):
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import NamedTuple
 
 from .algebra import Mat2, Mono, Poly, SnakeGraphsError, format_var
@@ -66,16 +65,36 @@ def _curly(vid):
     return ("Y", vid[1])
 
 
+def _check_labels(*labels):
+    """Pass labels through the validating Mono once, where they enter;
+    everything built from them later is trusted."""
+    Mono([(v, 2) for v in labels])
+
+
 def _monomial(vids):
-    """The product of the given variables; a repeated variable is raised
-    to its multiplicity."""
-    return Mono({v: 2 * k for v, k in Counter(vids).items()})
+    """The product of the given variables, which were checked where they
+    entered; a repeated variable is raised to its multiplicity."""
+    d = {}
+    for v in vids:
+        d[v] = d.get(v, 0) + 2
+    return Mono._trusted(d)
 
 
 def _matching_sum(rows):
     """The sum of weight times height over (matching, weight, height)
     rows."""
-    return Poly(Counter(w.mul(h) for _, w, h in rows))
+    d = {}
+    for _, w, h in rows:
+        m = w.mul(h)
+        d[m] = d.get(m, 0) + 1
+    return Poly._trusted(d)
+
+
+def _term(exps, coeff=1):
+    """The one-term polynomial coeff times the monomial with doubled
+    exponents ``exps``, built from checked labels without a second
+    check."""
+    return Poly._trusted({Mono._trusted(exps): coeff})
 
 
 # -- elementary steps --------------------------------------------------------
@@ -99,18 +118,21 @@ class Step(NamedTuple):
 def shear(tau, tau_prime, sigma, direction):
     if direction not in (CW, CCW):
         raise StepFormatError("bad shear direction %r" % (direction,))
+    _check_labels(tau, tau_prime, sigma)
     return Step(1, tau, tau_prime, sigma, direction)
 
 
 def twist(tau, direction):
     if direction not in (CW, CCW):
         raise StepFormatError("bad twist direction %r" % (direction,))
+    _check_labels(tau)
     return Step(2, tau, None, None, direction)
 
 
 def pivot(tau, sign):
     if sign not in (1, -1):
         raise StepFormatError("bad pivot sign %r" % (sign,))
+    _check_labels(tau)
     return Step(3, tau, None, None, sign)
 
 
@@ -120,30 +142,30 @@ def step_matrix(step, reduced=False):
     A shear is unit lower triangular, a twist is diagonal in the per-tile
     coefficient variable, and a pivot is antidiagonal. With ``reduced``
     set, twists split their coefficient variable into two half powers so
-    that direction reversal inverts the matrix.
+    that direction reversal inverts the matrix. The step's labels were
+    checked when it was built, so no entry is checked again.
     """
+    zero = Poly._trusted({})
     if step.kind == 1:
         e = {step.sigma: 2}
         for v in (step.tau, step.tau_prime):  # labels may coincide
             e[v] = e.get(v, 0) - 2
-        s = Poly.from_mono(Mono(e), -1 if step.mode == CCW else 1)
-        return Mat2(Poly.one(), Poly.zero(), s, Poly.one())
+        s = _term(e, -1 if step.mode == CCW else 1)
+        one = _term({})
+        return Mat2._trusted(one, zero, s, one)
     if step.kind == 2:
         y = _curly(step.tau)
         if reduced:
-            lo, hi = Mono({y: -1}), Mono({y: 1})
+            lo, hi = {y: -1}, {y: 1}
         else:
-            lo, hi = Mono.unit(), Mono({y: 2})
+            lo, hi = {}, {y: 2}
         if step.mode == CCW:
             lo, hi = hi, lo
-        return Mat2(Poly.from_mono(lo), Poly.zero(),
-                    Poly.zero(), Poly.from_mono(hi))
+        return Mat2._trusted(_term(lo), zero, zero, _term(hi))
     if step.kind == 3:
-        x = Poly.from_mono(Mono({step.tau: 2}))
-        xinv = Poly.from_mono(Mono({step.tau: -2}))
-        if step.mode == 1:
-            return Mat2(Poly.zero(), x, -xinv, Poly.zero())
-        return Mat2(Poly.zero(), -x, xinv, Poly.zero())
+        sign = step.mode
+        return Mat2._trusted(zero, _term({step.tau: 2}, sign),
+                             _term({step.tau: -2}, -sign), zero)
     raise StepFormatError("unknown step kind %r" % (step.kind,))
 
 
@@ -227,6 +249,8 @@ class SnakeGraph:
         for s in self.shapes:
             if s not in (NORTH, EAST):
                 raise SnakeError("bad shape %r" % (s,))
+        _check_labels(*self.diagonals, *self.glue_labels,
+                      corner_a, corner_b, corner_w, corner_z)
         self._build()
 
     @property
@@ -335,12 +359,17 @@ class SnakeGraph:
         rec(0)
         return out
 
-    def perfect_matchings(self, rel=1):
-        """All perfect matchings, minimal first, in a deterministic order."""
+    def perfect_matchings(self, rel=1, _heights=None):
+        """All perfect matchings, minimal first, in a deterministic order.
+
+        The height of each matching is computed once, for the order, and
+        stored under the matching in ``_heights`` when a dict is given.
+        """
         minimal = self.minimal_matching(rel)
+        heights = {} if _heights is None else _heights
 
         def order(m):
-            h = self.height_mono(m, minimal)
+            h = heights[m] = self.height_mono(m, minimal)
             return (h.degree2(), h.items(), sorted(m))
 
         return sorted(self._matchings(self.edge_labels), key=order)
@@ -397,10 +426,10 @@ class SnakeGraph:
     def weighted_matchings(self, rel=1):
         """(matching, weight, height) for every perfect matching, in the
         order of ``perfect_matchings``; the one source of matching
-        terms."""
-        minimal = self.minimal_matching(rel)
-        return [(m, self.weight_mono(m), self.height_mono(m, minimal))
-                for m in self.perfect_matchings(rel)]
+        terms. Each height is the one the order was sorted by."""
+        heights = {}
+        return [(m, self.weight_mono(m), heights[m])
+                for m in self.perfect_matchings(rel, heights)]
 
     def crossing_mono(self):
         return _monomial(self.diagonals)
@@ -542,7 +571,7 @@ class BandGraph:
         """
         base = self.base
         a, w, z = base.edge_key_a, base.edge_key_w, base.edge_key_z
-        cut = Mono({self.cut_label: -2})
+        cut = Mono._trusted({self.cut_label: -2})
         out = []
         for m, weight, h in base.weighted_matchings():
             if a in m:

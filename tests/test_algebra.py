@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from snakegraphs.algebra import (
     KINDS,
+    AlgebraError,
     Mat2,
     Mono,
     NotUnimodular,
@@ -121,6 +122,43 @@ class TestRingAxioms:
         assert p * Poly.one() == p
         assert p - p == Poly.zero()
         assert p * Poly.zero() == Poly.zero()
+
+
+class TestStrictConstructors:
+    """The validating constructors refuse what would fail or print wrong
+    later: a variable is a (kind, str) pair of a known kind, and every
+    exponent and coefficient is an int."""
+
+    @pytest.mark.parametrize("v", [
+        "x1",                  # not a pair; used to fail in format_mono
+        ("x", "a", "b"),       # a triple; used to fail in format_mono
+        ("x", 1),              # int label; failed when sorted beside "1"
+        ("x",),
+        ["x", "a"],
+        (1, "a"),
+        ("q", "a"),
+    ])
+    def test_mono_refuses_bad_variables(self, v):
+        with pytest.raises(AlgebraError):
+            Mono([(v, 2)])
+
+    @pytest.mark.parametrize("e", [1.5, 2.0, True, "2", None])
+    def test_mono_refuses_non_int_exponents(self, e):
+        # 1.5 used to print as x:a^(1/2)
+        with pytest.raises(AlgebraError):
+            Mono({("x", "a"): e})
+
+    @pytest.mark.parametrize("c", [1.5, 1.0, True, "1", None])
+    def test_poly_refuses_non_int_coefficients(self, c):
+        # 1.5 used to give a polynomial equal to 1
+        with pytest.raises(AlgebraError):
+            Poly({Mono(): c})
+
+    def test_accepts_int_zero_and_negative(self):
+        m = Mono({("x", "a"): 0, ("b", "c"): -3})
+        assert m == Mono({("b", "c"): -3})
+        p = Poly({Mono(): 0, m: -2})
+        assert p == Poly.const(-2) * Poly.from_mono(m)
 
 
 class TestCanonicalText:
@@ -347,6 +385,36 @@ class TestTrustedConstruction:
         (m, c), = q.terms()
         assert c == 3
         assert len(m.items()) == n - n // 4
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.sampled_from("NE"), max_size=11), st.booleans())
+    def test_snakecore_terms_are_the_validated_ones(self, shapes, reduced):
+        # snakecore builds weights, heights, matching sums and step
+        # matrices from labels checked once, at construction
+        from snakegraphs.snakecore import BandGraph, SnakeGraph, step_matrix
+        d = len(shapes) + 1
+        diagonals = [("x", str(j % 5)) for j in range(d)]
+        glues = [("b", "g%d" % (j % 3)) for j in range(d - 1)]
+        g = SnakeGraph(diagonals, shapes, glues, ("b", "a"), ("x", "1"),
+                       ("b", "w"), ("b", "a"))
+        graphs = [g]
+        if d >= 2:
+            graphs.append(BandGraph(diagonals, shapes, glues, ("b", "c")))
+        for _, w, h in g.weighted_matchings():
+            for m in (w, h):
+                ref = Mono(dict(m.items()))
+                assert m == ref
+                assert hash(m) == hash(ref)
+        for graph in graphs:
+            p = graph.enumerator_by_matchings()
+            assert p == _validated(p)
+            assert hash(p) == hash(_validated(p))
+            for group in graph.step_groups():
+                for step in group:
+                    mat = step_matrix(step, reduced)
+                    for p in (mat.a, mat.b, mat.c, mat.d):
+                        assert p == _validated(p)
+                        assert hash(p) == hash(_validated(p))
 
 
 def _validated(p):

@@ -12,8 +12,15 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from snakegraphs.algebra import Mono, Poly, format_poly, parse_poly
+from snakegraphs.algebra import (
+    AlgebraError,
+    Mono,
+    Poly,
+    format_poly,
+    parse_poly,
+)
 from snakegraphs.snakecore import (
+    CW,
     EAST,
     NORTH,
     BandGraph,
@@ -23,6 +30,9 @@ from snakegraphs.snakecore import (
     _curly,
     _matching_sum,
     _monomial,
+    pivot,
+    shear,
+    twist,
 )
 
 
@@ -65,6 +75,105 @@ class TestConstruction:
         assert labels == [bv("a"), bv("b"), bv("w"), bv("z")]
         assert g.edge_labels[g.edge_key_a] == bv("a")
         assert g.edge_labels[g.edge_key_w] == bv("w")
+
+
+BAD = ("q", "1")  # a label of no known kind
+
+
+def snake_args(d=3):
+    return dict(diagonals=[xv("i%d" % j) for j in range(d)],
+                shapes=[NORTH] * (d - 1),
+                glue_labels=[xv("g%d" % j) for j in range(d - 1)],
+                corner_a=bv("a"), corner_b=bv("b"),
+                corner_w=bv("w"), corner_z=bv("z"))
+
+
+class TestLabelsCheckedWhereTheyEnter:
+    """A label of unknown kind is refused when the graph or step is
+    built, not deep inside an enumeration."""
+
+    @pytest.mark.parametrize("role,index", [
+        ("diagonals", 0), ("diagonals", 2), ("glue_labels", 1),
+        ("corner_a", None), ("corner_b", None), ("corner_w", None),
+        ("corner_z", None)])
+    def test_snake_refuses_bad_kind(self, role, index):
+        args = snake_args()
+        if index is None:
+            args[role] = BAD
+        else:
+            args[role][index] = BAD
+        with pytest.raises(AlgebraError):
+            SnakeGraph(**args)
+
+    @pytest.mark.parametrize("role", ["diagonals", "glue_labels", "cut"])
+    def test_band_refuses_bad_kind(self, role):
+        args = snake_args()
+        diagonals, glues = args["diagonals"], args["glue_labels"]
+        cut = bv("c")
+        if role == "cut":
+            cut = BAD
+        else:
+            args[role][-1] = BAD
+        with pytest.raises(AlgebraError):
+            BandGraph(diagonals, args["shapes"], glues, cut)
+
+    @pytest.mark.parametrize("make", [
+        lambda: shear(BAD, xv("t"), xv("s"), CW),
+        lambda: shear(xv("t"), BAD, xv("s"), CW),
+        lambda: shear(xv("t"), xv("u"), BAD, CW),
+        lambda: twist(BAD, CW),
+        lambda: pivot(BAD, 1),
+        lambda: pivot("x1", -1)])
+    def test_steps_refuse_bad_kind(self, make):
+        with pytest.raises(AlgebraError):
+            make()
+
+
+def neen_snake(d=14):
+    """The snake with the most matchings at each size: 987 at d = 14."""
+    return SnakeGraph([xv("i%d" % j) for j in range(d)],
+                      ("NEEN" * 5)[:d - 1],
+                      [xv("g%d" % j) for j in range(d - 1)],
+                      bv("a"), bv("b"), bv("w"), bv("z"))
+
+
+class TestWorkCounts:
+    """Work done per enumeration, counted rather than timed."""
+
+    @staticmethod
+    def _count(monkeypatch, owner, name, calls):
+        original = getattr(owner, name)
+
+        def counting(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counting)
+
+    def test_one_height_per_matching_one_minimal(self, monkeypatch):
+        g = neen_snake()
+        calls = []
+        self._count(monkeypatch, SnakeGraph, "height_mono", calls)
+        self._count(monkeypatch, SnakeGraph, "minimal_matching", calls)
+        rows = g.weighted_matchings()
+        assert len(rows) == 987
+        assert calls.count("height_mono") == 987
+        assert calls.count("minimal_matching") == 1
+
+    def test_validated_monomials_grow_with_tiles(self, monkeypatch):
+        g = neen_snake()
+        calls = []
+        self._count(monkeypatch, Mono, "__init__", calls)
+        assert g.enumerator_by_matchings() == g.enumerator_by_matrices()
+        assert len(calls) <= 4 * g.d
+
+    def test_nothing_is_kept_on_the_graph(self):
+        g = neen_snake()
+        before = dict(vars(g))
+        g.enumerator_by_matchings()
+        g.enumerator_by_matrices()
+        g.corner_partition_sums()
+        assert vars(g) == before
 
 
 class TestFrozenExpansions:
