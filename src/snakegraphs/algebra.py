@@ -48,6 +48,17 @@ class PolyParseError(AlgebraError):
     """Raised on malformed canonical polynomial text."""
 
 
+_LABEL = re.compile(r"[^\s*^]+")
+LABEL_RULE = "a label is a nonempty string free of whitespace, '*' and '^'"
+
+
+def is_label(label):
+    """Whether ``label`` can name a variable: the canonical text prints it
+    bare, between "kind:" and a "*", "^" or " + ", and strips whitespace
+    around factors, so only such a label reads back."""
+    return isinstance(label, str) and _LABEL.fullmatch(label) is not None
+
+
 def var(kind, label):
     """Build a variable id, checking the kind."""
     if kind not in _KIND_ORDER:
@@ -107,9 +118,10 @@ class Mono:
         d = {}
         for v, e in _as_dict(items).items():
             if not (isinstance(v, tuple) and len(v) == 2 and v[0] in KINDS
-                    and isinstance(v[1], str)):
-                raise AlgebraError("a variable is a (kind, str) pair of a "
-                                   "kind in %s, not %r" % (KINDS, v))
+                    and is_label(v[1])):
+                raise AlgebraError("a variable is a (kind, label) pair of a "
+                                   "kind in %s; %s, not %r"
+                                   % (KINDS, LABEL_RULE, v))
             if type(e) is not int:  # a bool or a float is refused
                 raise AlgebraError("an exponent must be an int, not %r"
                                    % (e,))
@@ -139,7 +151,7 @@ class Mono:
 
     @classmethod
     def unit(cls):
-        return cls()
+        return cls._nonzero({})
 
     @classmethod
     def of(cls, kind, label, exp2=2):

@@ -84,9 +84,6 @@ def path_for_curve(tri, curve):
                  closed=curve.kind == "loop")
 
 
-standard_arc_path = standard_loop_path = path_for_curve
-
-
 # -- specializations -------------------------------------------------------
 
 

@@ -201,7 +201,7 @@ def _matchings_by_exhaustion(vertices, ends):
 
     An include/exclude recursion over the edges in the order given,
     abandoned once an uncovered vertex has no edge left. It shares no
-    step with ``SnakeGraph._matchings``.
+    step with ``SnakeGraph.perfect_matchings``.
     """
     ids = list(ends)
     last = {v: i for i, e in enumerate(ids) for v in ends[e]}
@@ -324,55 +324,52 @@ class SnakeGraph:
         for key in labels:
             verts.update(key)
         self.vertices = sorted(verts)
-        inc = {v: [] for v in self.vertices}
-        for key in sorted(labels):
-            for v in key:
-                inc[v].append(key)
-        self._incidence = inc
 
     # -- matchings ---------------------------------------------------------
 
-    def _matchings(self, keys):
-        """Every perfect matching that uses only edges in ``keys``.
+    def perfect_matchings(self, _heights=None):
+        """All perfect matchings: the minimal one first, then by height
+        degree, height and sorted edges.
 
-        Walks the sorted vertices to the first uncovered one and tries
-        each of its incident edges in turn.
+        A matching is the minimal one with the four sides of each tile it
+        encloses toggled. The enclosed sets are the 0/1 words on the tiles
+        that avoid (1, 0) where the turn into the next tile is
+        counterclockwise (see ``_transition_groups``) and (0, 1) where it
+        is clockwise: the order ideals of a fence on the tiles. A
+        depth-first walk over the tiles, with a stack rather than
+        recursion, builds each matching and its height once, and stores
+        the height under the matching in ``_heights`` when a dict is
+        given.
         """
-        verts, inc = self.vertices, self._incidence
-        covered, chosen, out = set(), [], []
-
-        def rec(i):
-            while i < len(verts) and verts[i] in covered:
-                i += 1
-            if i == len(verts):
-                out.append(frozenset(chosen))
-                return
-            v = verts[i]
-            for key in inc[v]:
-                if key in keys and covered.isdisjoint(key):
-                    covered.update(key)
-                    chosen.append(key)
-                    rec(i + 1)
-                    chosen.pop()
-                    covered.difference_update(key)
-
-        rec(0)
-        return out
-
-    def perfect_matchings(self, rel=1, _heights=None):
-        """All perfect matchings, minimal first, in a deterministic order.
-
-        The height of each matching is computed once, for the order, and
-        stored under the matching in ``_heights`` when a dict is given.
-        """
-        minimal = self.minimal_matching(rel)
+        d, word = self.d, (NORTH,) + self.shapes
+        # whether the turn from tile j to tile j + 1 is counterclockwise
+        ccw = [word[j + 1] == word[j] for j in range(d - 1)]
+        sides = [self._tile_sides(j).values() for j in range(d)]
+        current, enclosed = set(self.minimal_matching()), []
         heights = {} if _heights is None else _heights
+        todo = [(0, True), (0, False)]  # (tile, enclosed) still to visit
+        while todo:
+            j, inside = todo.pop()
+            while enclosed and enclosed[-1] >= j:  # back up to tile j
+                current.symmetric_difference_update(sides[enclosed.pop()])
+            if inside:
+                current.symmetric_difference_update(sides[j])
+                enclosed.append(j)
+            if j + 1 == d:
+                # a tuple, so that the frozenset gets a table of its own size
+                heights[frozenset(tuple(current))] = \
+                    self.height_mono(enclosed)
+            else:  # tile j + 1, skipping the pair this turn forbids
+                if inside or ccw[j]:
+                    todo.append((j + 1, True))
+                if not (inside and ccw[j]):
+                    todo.append((j + 1, False))
 
         def order(m):
-            h = heights[m] = self.height_mono(m, minimal)
+            h = heights[m]
             return (h.degree2(), h.items(), sorted(m))
 
-        return sorted(self._matchings(self.edge_labels), key=order)
+        return sorted(heights, key=order)
 
     def matchings_by_exhaustion(self):
         """Independent oracle enumerator. Output order is by sorted edge
@@ -381,55 +378,37 @@ class SnakeGraph:
         return sorted(_matchings_by_exhaustion(self.vertices, ends),
                       key=sorted)
 
-    def minimal_matching(self, rel=1):
-        """The all-boundary matching singled out by the orientation bit.
-
-        With rel = +1 it is the one containing the corner ``a`` edge,
-        with rel = -1 the other one.
-        """
-        if rel not in (1, -1):
-            raise SnakeError("rel must be +1 or -1")
-        out = self._matchings(set(self.edge_labels) - set(self.glue_keys))
-        if len(out) != 2:
-            raise SnakeError(
-                "expected exactly 2 all-boundary matchings, found %d"
-                % len(out))
-        with_a = [m for m in out if self.edge_key_a in m]
-        without = [m for m in out if self.edge_key_a not in m]
-        if len(with_a) != 1:
-            raise SnakeError("corner edge classification failed")
-        return with_a[0] if rel == 1 else without[0]
+    def minimal_matching(self):
+        """The all-boundary matching that contains the corner ``a`` edge:
+        every other edge of the boundary cycle, starting at ``a``."""
+        around = {}
+        for key in set(self.edge_labels) - set(self.glue_keys):
+            for v in key:
+                around.setdefault(v, []).append(key)
+        out, key, v = [], self.edge_key_a, self.edge_key_a[0]
+        while len(out) <= self.d:
+            out.append(key)
+            for _ in range(2):  # pass the next edge, take the one after
+                v, = set(key) - {v}
+                key, = set(around[v]) - {key}
+        return frozenset(out)
 
     def weight_mono(self, matching):
         return _monomial(self.edge_labels[key] for key in matching)
 
-    def height_mono(self, matching, minimal):
-        """Height of a matching relative to the minimal one.
+    def height_mono(self, enclosed):
+        """The height of the matching that encloses the given tiles,
+        relative to the minimal one: the product of their diagonals'
+        coefficient variables."""
+        return _monomial(_curly(self.diagonals[j]) for j in enclosed)
 
-        The symmetric difference is a union of cycles; a tile contributes
-        its diagonal's coefficient variable when a cycle encloses it.
-        A walk from outside the graph enters tile 0 through corner ``a``
-        and each later tile through its glue edge; it is inside a cycle
-        exactly when it has crossed an odd number of edges of the
-        difference.
-        """
-        matching, minimal = frozenset(matching), frozenset(minimal)
-        inside = False
-        enclosed = []
-        for vid, key in zip(self.diagonals,
-                            (self.edge_key_a,) + self.glue_keys):
-            inside ^= (key in matching) != (key in minimal)
-            if inside:
-                enclosed.append(_curly(vid))
-        return _monomial(enclosed)
-
-    def weighted_matchings(self, rel=1):
+    def weighted_matchings(self):
         """(matching, weight, height) for every perfect matching, in the
         order of ``perfect_matchings``; the one source of matching
         terms. Each height is the one the order was sorted by."""
         heights = {}
         return [(m, self.weight_mono(m), heights[m])
-                for m in self.perfect_matchings(rel, heights)]
+                for m in self.perfect_matchings(heights)]
 
     def crossing_mono(self):
         return _monomial(self.diagonals)
@@ -464,17 +443,19 @@ class SnakeGraph:
         """One step group per tile transition. Turn j is counterclockwise
         when shape letter j repeats the one before it (the first letter
         counts as a repeat of NORTH); it then takes a twist and a shear,
-        and a clockwise turn a twist, shear, pivot and shear."""
+        and a clockwise turn a twist, shear, pivot and shear. Like those
+        of ``step_groups``, these steps carry labels that were checked
+        when the graph was built."""
         groups = []
         for j in range(self.d - 1):
             t0, t1 = self.diagonals[j], self.diagonals[j + 1]
             g = self.glue_labels[j]
-            group = [twist(t0, CW)]
+            group = [Step(2, t0, None, None, CW)]
             if self.shapes[j] == (self.shapes[j - 1] if j else NORTH):
-                group.append(shear(t0, t1, g, CW))
+                group.append(Step(1, t0, t1, g, CW))
             else:
-                group += [shear(g, t0, t1, CW), pivot(g, 1),
-                          shear(g, t1, t0, CW)]
+                group += [Step(1, g, t0, t1, CW), Step(3, g, None, None, 1),
+                          Step(1, g, t1, t0, CW)]
             groups.append(group)
         return groups
 
@@ -484,9 +465,10 @@ class SnakeGraph:
         a, b = self.corner_a, self.corner_b
         w, z = self.corner_w, self.corner_z
         first, last = self.diagonals[0], self.diagonals[-1]
-        return ([[pivot(a, 1), shear(a, first, b, CW)]]
+        return ([[Step(3, a, None, None, 1), Step(1, a, first, b, CW)]]
                 + self._transition_groups()
-                + [[twist(last, CW), shear(last, z, w, CW), pivot(z, 1)]])
+                + [[Step(2, last, None, None, CW), Step(1, last, z, w, CW),
+                    Step(3, z, None, None, 1)]])
 
     def transfer_matrix(self):
         """The product of the transition groups."""
@@ -594,8 +576,8 @@ class BandGraph:
         first, last = base.diagonals[0], base.diagonals[-1]
         cut = self.cut_label
         return base._transition_groups() + [[
-            twist(last, CW), shear(cut, last, first, CW), pivot(cut, 1),
-            shear(cut, first, last, CW)]]
+            Step(2, last, None, None, CW), Step(1, cut, last, first, CW),
+            Step(3, cut, None, None, 1), Step(1, cut, first, last, CW)]]
 
     def enumerator_by_matrices(self):
         """Crossing monomial times the trace of the product of all step

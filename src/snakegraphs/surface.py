@@ -9,7 +9,7 @@ crossing sequences plus the triangles where they start and end.
 
 from __future__ import annotations
 
-from .algebra import Mono, Poly, SnakeGraphsError
+from .algebra import LABEL_RULE, Mono, Poly, SnakeGraphsError, is_label
 from .snakecore import (
     CCW,
     CW,
@@ -669,14 +669,20 @@ def _typed(d, key, kind, default):
     return value
 
 
+def _label(key, label):
+    """``label``, refused unless the canonical text can print it and read
+    it back."""
+    if not is_label(label):
+        raise ValidationError("%r: %s, not %r" % (key, LABEL_RULE, label))
+    return label
+
+
 def _labels(d, key, default):
     """``_typed(d, key, list, default)``, refusing an entry that is not a
-    string label."""
+    label."""
     labels = _typed(d, key, list, default)
     for label in labels:
-        if not isinstance(label, str):
-            raise ValidationError("%r must hold string labels, not %r"
-                                  % (key, label))
+        _label(key, label)
     return labels
 
 
@@ -688,10 +694,10 @@ def triangulation_from_dict(doc):
     arcs, ends = [], {}
     for entry in _typed(doc, "arcs", list, []):
         if isinstance(entry, str):
-            arcs.append(entry)
+            arcs.append(_label("arcs", entry))
         elif isinstance(entry, dict):
             _reject_unknown(entry, {"name", "ends"}, "arc")
-            name = _typed(entry, "name", str, None)
+            name = _label("name", _typed(entry, "name", str, None))
             arcs.append(name)
             if "ends" in entry:
                 ends[name] = tuple(_labels(entry, "ends", None))

@@ -126,8 +126,8 @@ class TestRingAxioms:
 
 class TestStrictConstructors:
     """The validating constructors refuse what would fail or print wrong
-    later: a variable is a (kind, str) pair of a known kind, and every
-    exponent and coefficient is an int."""
+    later: a variable pairs a known kind with a label the canonical text
+    reads back, and every exponent and coefficient is an int."""
 
     @pytest.mark.parametrize("v", [
         "x1",                  # not a pair; used to fail in format_mono
@@ -141,6 +141,17 @@ class TestStrictConstructors:
     def test_mono_refuses_bad_variables(self, v):
         with pytest.raises(AlgebraError):
             Mono([(v, 2)])
+
+    @pytest.mark.parametrize("label", [
+        "", " ", "a*b", "a^2", "a + b", "a\tb", " a", "a\n", "a\u2028b"])
+    def test_mono_refuses_labels_the_text_cannot_read_back(self, label):
+        with pytest.raises(AlgebraError):
+            Mono([(("x", label), 2)])
+
+    @pytest.mark.parametrize("label", ["a:b", "0-2", "r(p)", "-1", "a+b"])
+    def test_accepted_labels_read_back(self, label):
+        p = Poly.of_var("x", label) * Poly.of_var("b", label, exp2=-3) - 2
+        assert parse_poly(format_poly(p)) == p
 
     @pytest.mark.parametrize("e", [1.5, 2.0, True, "2", None])
     def test_mono_refuses_non_int_exponents(self, e):

@@ -1,11 +1,16 @@
 """Command line tests against the bundled fixtures and their goldens."""
 
+import contextlib
 import io
 import json
+import os
+import tempfile
 from importlib import resources
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from snakegraphs.algebra import format_poly, parse_poly
 from snakegraphs.cli import main
 
 FIXTURES = resources.files("snakegraphs") / "fixtures"
@@ -335,3 +340,66 @@ class TestErrors:
         with pytest.raises(SystemExit) as exc:
             run(argv + [fixture("annulus.json")])
         assert exc.value.code == 2
+
+
+def renamed(doc, old, new):
+    """``doc`` with every string equal to ``old`` replaced by ``new``."""
+    if isinstance(doc, dict):
+        return {k: renamed(v, old, new) for k, v in doc.items()}
+    if isinstance(doc, list):
+        return [renamed(v, old, new) for v in doc]
+    return new if doc == old else doc
+
+
+def expand_renamed(name, old, new):
+    """Run ``expand --keep-boundary`` on a fixture with one label renamed;
+    return the exit code, stdout and stderr."""
+    doc = renamed(json.loads(golden(name + ".json")), old, new)
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "renamed.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        with contextlib.redirect_stderr(err):
+            code, out = run(["expand", "--keep-boundary", path])
+    return code, out, err.getvalue()
+
+
+def assert_refused_or_read_back(code, out, err):
+    if code == 1:
+        assert err.count("\n") == 1
+        return
+    assert code == 0 and err == ""
+    for line in out.splitlines():
+        key, _, text = line.partition(": ")
+        if key in ("X", "F", "x"):
+            assert format_poly(parse_poly(text)) == text
+
+
+class TestLabelsReadBack:
+    """Every label a document may use prints as text that parses back."""
+
+    @pytest.mark.parametrize("label", ["", " ", "a*b", "a^2", "a + b"])
+    def test_unreadable_label_is_refused(self, label):
+        code, out, err = expand_renamed("hexagon", "0-2", label)
+        assert (code, out) == (1, "")
+        assert err.startswith("ParseError: ") and err.count("\n") == 1
+        assert "a label is a nonempty string" in err
+
+    def test_colon_in_label_reads_back(self):
+        code, out, err = expand_renamed("hexagon", "0-2", "a:b")
+        assert code == 0 and "x:a:b" in out
+        assert_refused_or_read_back(code, out, err)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_any_renamed_label(self, data):
+        name = data.draw(st.sampled_from(
+            ("hexagon", "annulus", "selffolded_disk")))
+        doc = json.loads(golden(name + ".json"))
+        old = data.draw(st.sampled_from(sorted(
+            doc["arcs"] + doc["boundary"] + doc["punctures"])))
+        new = data.draw(st.sampled_from(("", " ", "a*b", "a^2", "a + b",
+                                         "a:b", "(", "-"))
+                        | st.text(max_size=5))
+        assert_refused_or_read_back(*expand_renamed(name, old, new))

@@ -29,8 +29,6 @@ from snakegraphs.mpath import (
     reroute_shear,
     rotate_loop,
     shear,
-    standard_arc_path,
-    standard_loop_path,
     swap_twist_pivot,
     twist,
 )
@@ -84,7 +82,7 @@ class TestAgainstExpansion:
 class TestReadings:
     def test_reduced_and_unreduced_differ_by_half_twists(self):
         tri = quadrilateral()
-        path = standard_arc_path(
+        path = path_for_curve(
             tri, Curve("arc", crossings=["d"], start_triangle=0,
                        end_triangle=1))
         hat = chi_hat(path)
@@ -101,7 +99,7 @@ class TestReadings:
 
     def test_inversion(self):
         tri = annulus()
-        path = standard_loop_path(tri, Curve(
+        path = path_for_curve(tri, Curve(
             "loop", crossings=["1", "2", "3", "4"], basepoint_triangle=3))
         m = path_matrix(path.steps, reduced=True)
         minv = path_matrix(invert_steps(path.steps), reduced=True)
@@ -148,7 +146,7 @@ class TestAdjustments:
 
     def test_rotation_fixes_trace(self):
         tri = annulus()
-        path = standard_loop_path(tri, Curve(
+        path = path_for_curve(tri, Curve(
             "loop", crossings=["1", "2", "3", "4"], basepoint_triangle=3))
         for k in range(1, len(path.steps)):
             alt = MPath(rotate_loop(path.steps, k), closed=True)
@@ -164,7 +162,7 @@ class TestAdjustments:
 class TestTextForm:
     def test_round_trip(self):
         tri = folded_disk()
-        path = standard_arc_path(tri, Curve(
+        path = path_for_curve(tri, Curve(
             "arc", crossings=["l", "r"], start_triangle=0, end_triangle=1))
         text = format_steps(path.steps)
         assert parse_steps(text) == path.steps

@@ -6,8 +6,11 @@ was written. Larger cases are cross-checked between the three
 independent routes: matching sum, exhaustive matcher, matrix product.
 """
 
+import gc
+import inspect
 import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -167,6 +170,37 @@ class TestWorkCounts:
         assert g.enumerator_by_matchings() == g.enumerator_by_matrices()
         assert len(calls) <= 4 * g.d
 
+    @pytest.mark.parametrize("make", [
+        lambda: simple_snake(1, []), neen_snake,
+        lambda: BandGraph([xv("i%d" % j) for j in range(5)], "NEEN",
+                          [xv("g%d" % j) for j in range(4)], bv("c"))])
+    def test_matrix_route_checks_no_label_again(self, monkeypatch, make):
+        g = make()
+        rebuild = {1: lambda s: shear(s.tau, s.tau_prime, s.sigma, s.mode),
+                    2: lambda s: twist(s.tau, s.mode),
+                    3: lambda s: pivot(s.tau, s.mode)}
+        for group in g.step_groups():
+            for s in group:
+                assert rebuild[s.kind](s) == s
+        calls = []
+        self._count(monkeypatch, Mono, "__init__", calls)
+        g.enumerator_by_matrices()
+        assert calls == []
+
+    def test_enumerations_leave_no_reference_cycles(self):
+        # a self-referencing closure would keep every matching and height
+        # alive until the cycle collector runs, raising peak memory
+        g = neen_snake()
+        gc.collect()
+        gc.disable()
+        try:
+            g.enumerator_by_matchings()
+            g.enumerator_by_matrices()
+            g.corner_partition_sums()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
     def test_nothing_is_kept_on_the_graph(self):
         g = neen_snake()
         before = dict(vars(g))
@@ -219,20 +253,22 @@ class TestMatchings:
             mmin = g.minimal_matching()
             assert g.edge_key_a in mmin
             assert not (set(mmin) & set(g.glue_keys))
-            assert g.height_mono(mmin, mmin).is_unit()
+            first, _, height = g.weighted_matchings()[0]
+            assert first == mmin and height.is_unit()
 
     def test_rel_flip(self):
         rng = random.Random(8)
         for _ in range(15):
             g, _ = random_snake(rng)
-            lo = g.minimal_matching(1)
-            hi = g.minimal_matching(-1)
+            lo = g.minimal_matching()
+            hi, _, height = g.weighted_matchings()[-1]
             assert lo != hi
-            # measured from the opposite reference, every tile is enclosed
+            assert not (set(hi) & set(g.glue_keys))
+            # the other all-boundary matching encloses every tile
             full = Mono.unit()
             for v in g.diagonals:
                 full = full.mul(Mono({("Y", v[1]): 2}))
-            assert g.height_mono(hi, lo) == full
+            assert height == full
 
     def test_enumerator_order_emits_minimal_first(self):
         rng = random.Random(9)
@@ -274,11 +310,9 @@ def ray_cast_height(g, matching, minimal):
 
 
 def assert_heights_match_ray_cast(g):
-    for rel in (1, -1):
-        minimal = g.minimal_matching(rel)
-        for m in g.perfect_matchings(rel):
-            assert g.height_mono(m, minimal) == ray_cast_height(g, m,
-                                                                minimal)
+    minimal = g.minimal_matching()
+    for m, _, height in g.weighted_matchings():
+        assert height == ray_cast_height(g, m, minimal)
 
 
 class TestHeight:
@@ -292,6 +326,66 @@ class TestHeight:
                     max_size=13))
     def test_random_words_of_ten_to_fourteen_tiles(self, shapes):
         assert_heights_match_ray_cast(simple_snake(len(shapes) + 1, shapes))
+
+
+class TestFenceWalk:
+    """The walk over the tiles' fence against the exhaustive matcher and
+    the ray-cast height, which share no step with it."""
+
+    def test_edge_sets_match_the_oracle_up_to_nine_tiles(self):
+        for d in range(1, 10):
+            for shapes in itertools.product((NORTH, EAST), repeat=d - 1):
+                g = simple_snake(d, shapes)
+                assert (sorted(g.perfect_matchings(), key=sorted)
+                        == g.matchings_by_exhaustion())
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.data())
+    def test_repeated_labels_ten_to_thirteen_tiles(self, data):
+        d = data.draw(st.integers(10, 13))
+        shapes = data.draw(st.lists(st.sampled_from((NORTH, EAST)),
+                                    min_size=d - 1, max_size=d - 1))
+        label = st.sampled_from(("0", "1", "2"))
+        g = SnakeGraph(
+            [xv("i" + data.draw(label)) for _ in range(d)], shapes,
+            [xv("g" + data.draw(label)) for _ in range(d - 1)],
+            bv("a"), bv(data.draw(st.sampled_from("ab"))), bv("w"),
+            bv(data.draw(st.sampled_from("awz"))))
+        rows = g.weighted_matchings()
+        assert (sorted((m for m, _, _ in rows), key=sorted)
+                == g.matchings_by_exhaustion())
+        minimal = g.minimal_matching()
+        for m, _, height in rows:
+            assert height == ray_cast_height(g, m, minimal)
+
+    def test_walk_keeps_its_own_stack(self):
+        # a curve may cross more arcs than the interpreter's recursion
+        # limit allows frames; the walk must not need one frame per tile
+        g = simple_snake(200, [NORTH] * 199)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack()) + 50)
+        try:
+            rows = g.weighted_matchings()
+        finally:
+            sys.setrecursionlimit(limit)
+        assert len(rows) == 201
+
+    def test_equal_heights_are_ordered_by_edges(self):
+        # repeated diagonal labels let two matchings share a height; the
+        # sorted edge sets then decide, as they always have
+        g = SnakeGraph([xv("i0"), xv("i1"), xv("i0")], [NORTH, EAST],
+                       [xv("g0"), xv("g1")],
+                       bv("a"), bv("b"), bv("w"), bv("z"))
+        rows = [(format_poly(Poly.from_mono(w)),
+                 format_poly(Poly.from_mono(h)))
+                for _, w, h in g.weighted_matchings()]
+        assert rows == [
+            ("x:i0^2*b:a*b:w", "1"),
+            ("x:g0*x:g1*b:a*b:w", "Y:i1"),
+            ("x:g1*x:i1*b:b*b:w", "Y:i0*Y:i1"),
+            ("x:g0*x:i1*b:a*b:z", "Y:i0*Y:i1"),
+            ("x:i1^2*b:b*b:z", "Y:i0^2*Y:i1"),
+        ]
 
 
 class TestMatrixRoute:
@@ -332,11 +426,10 @@ class TestWeightedMatchings:
         rng = random.Random(16)
         for _ in range(20):
             g, _ = random_snake(rng)
-            for rel in (1, -1):
-                minimal = g.minimal_matching(rel)
-                assert g.weighted_matchings(rel) == [
-                    (m, g.weight_mono(m), g.height_mono(m, minimal))
-                    for m in g.perfect_matchings(rel)]
+            minimal = g.minimal_matching()
+            assert g.weighted_matchings() == [
+                (m, g.weight_mono(m), ray_cast_height(g, m, minimal))
+                for m in g.perfect_matchings()]
 
     def test_matching_sum_is_the_enumerator(self):
         rng = random.Random(17)
@@ -439,10 +532,11 @@ class TestBand:
         before = ([g.matchings_by_exhaustion() for g in snakes],
                   [g.good_matchings_by_exhaustion() for g in bands])
 
-        def refuse(self, keys):
+        def refuse(self, *args):
             raise AssertionError("the oracle called the production search")
 
-        monkeypatch.setattr(SnakeGraph, "_matchings", refuse)
+        monkeypatch.setattr(SnakeGraph, "perfect_matchings", refuse)
+        monkeypatch.setattr(SnakeGraph, "minimal_matching", refuse)
         after = ([g.matchings_by_exhaustion() for g in snakes],
                  [g.good_matchings_by_exhaustion() for g in bands])
         assert after == before

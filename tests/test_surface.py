@@ -5,6 +5,8 @@ matching enumeration on the unfolded tile rows) and frozen before the
 module was written.
 """
 
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -471,6 +473,21 @@ class TestJson:
         doc["curves"] = [{"kind": "loop", "crossings": [], "speed": 9}]
         with pytest.raises(ValidationError):
             triangulation_from_dict(doc)
+
+    @pytest.mark.parametrize("where", [
+        lambda d, bad: d["arcs"].__setitem__(0, bad),
+        lambda d, bad: d["arcs"].__setitem__(0, {"name": bad}),
+        lambda d, bad: d["boundary"].__setitem__(0, bad),
+        lambda d, bad: d.update(punctures=[bad]),
+        lambda d, bad: d["triangles"][0]["sides"].__setitem__(0, bad),
+        lambda d, bad: d["curves"][0]["crossings"].__setitem__(0, bad)])
+    @pytest.mark.parametrize("bad", ["", " ", "a*b", "a^2", "a + b"])
+    def test_labels_the_text_cannot_read_back_are_refused(self, where, bad):
+        doc = json.loads(json.dumps(self.DOC))
+        where(doc, bad)
+        with pytest.raises(ValidationError) as exc:
+            triangulation_from_dict(doc)
+        assert "\n" not in str(exc.value)
 
     def test_arc_records_with_ends(self):
         doc = {
