@@ -474,14 +474,16 @@ def format_poly(p):
 
 
 _POWER_RE = re.compile(r"^(-?\d+)$|^\((-?\d+)/2\)$")
+_INT_RE = re.compile(r"-?\d+")
 
 
 def _parse_factor(text):
+    """(coefficient, variable or None, doubled exponent) of one factor."""
     text = text.strip()
     if not text:
         raise PolyParseError("empty factor")
-    if re.fullmatch(r"-?\d+", text):
-        return int(text), Mono.unit()
+    if _INT_RE.fullmatch(text):
+        return int(text), None, 0
     if "^" in text:
         base, _, pw = text.partition("^")
         m = _POWER_RE.match(pw.strip())
@@ -490,14 +492,15 @@ def _parse_factor(text):
         exp2 = int(m.group(1)) * 2 if m.group(1) is not None else int(m.group(2))
     else:
         base, exp2 = text, 2
-    return 1, Mono({parse_var(base): exp2})
+    return 1, parse_var(base), exp2
 
 
 def parse_poly(text):
     """Parse canonical text form back into a polynomial.
 
     Inverse of format_poly on canonical output; also tolerant of extra
-    surrounding whitespace.
+    surrounding whitespace. Each term's exponents are summed in one dict
+    and checked by one ``Mono(...)``, and the terms in one dict.
     """
     text = text.strip()
     if not text:
@@ -512,20 +515,21 @@ def parse_poly(text):
     for i in range(1, len(pieces), 2):
         signs.append(1 if pieces[i] == "+" else -1)
         terms.append(pieces[i + 1])
-    out = Poly.zero()
+    out = {}
     for sign, term in zip(signs, terms):
         term = term.strip()
         if term.startswith("-"):
             sign = -sign
             term = term[1:]
-        coeff = sign
-        mono = Mono.unit()
+        coeff, exps = sign, {}
         for factor in term.split("*"):
-            c, m = _parse_factor(factor)
+            c, v, e = _parse_factor(factor)
             coeff *= c
-            mono = mono.mul(m)
-        out = out + Poly.from_mono(mono, coeff)
-    return out
+            if v is not None:
+                exps[v] = exps.get(v, 0) + e
+        mono = Mono(exps)
+        out[mono] = out.get(mono, 0) + coeff
+    return Poly._trusted(out)
 
 
 # ---------------------------------------------------------------------------

@@ -45,9 +45,9 @@ from .surface import (
     ValidationError,
     _reject_unknown,
     _typed,
+    coefficient_map,
     curve_from_dict,
     expand,
-    phi_substitution,
     signed_reading,
 )
 
@@ -245,7 +245,7 @@ def _match_composite(steps, curve, role, target):
     return mono
 
 
-def _crossing_mono(tri, curves_plus, curves_minus):
+def _crossing_mono(curves_plus, curves_minus):
     """Half power of y per crossing difference between two curve sets."""
     exps = {}
     for sgn, curves in ((1, curves_plus), (-1, curves_minus)):
@@ -259,17 +259,21 @@ def _crossing_mono(tri, curves_plus, curves_minus):
     return Mono(out)
 
 
-def _lower_coeffs(tri, mono):
-    """Rename a coefficient monomial into the tagged-arc variables and
-    insist on integer exponents."""
-    p = Poly.from_mono(mono).substitute(phi_substitution(tri))
-    m = p.as_mono()
-    for v, e in m.items():
+def _integral(mono):
+    """``mono``, refused when an exponent is half-integral."""
+    for v, e in mono.items():
         if e % 2:
             raise NotAMonomialCoefficient(
                 "coefficient exponent of %s is half-integral"
                 % format_var(v))
-    return m
+    return mono
+
+
+def _lower_coeffs(tri, mono):
+    """Rename a coefficient monomial into the tagged-arc variables and
+    insist on integer exponents."""
+    return _integral(
+        Poly.from_mono(mono).substitute(coefficient_map(tri)).as_mono())
 
 
 def _resolve_signs(lhs, term_a, term_b):
@@ -392,7 +396,7 @@ def verify_skein(tri, inst):
     rhs = Poly.zero()
     coeffs = []
     for sign, roles, mono in zip(signs, terms_roles, monos):
-        extra = _crossing_mono(tri, lhs_curves, [curves[r] for r in roles])
+        extra = _crossing_mono(lhs_curves, [curves[r] for r in roles])
         coeffs.append(_lower_coeffs(tri, mono.mul(extra)))
         rhs = rhs + Poly.from_mono(coeffs[-1], sign) * product(roles, hat)
     if hat_lhs != rhs:
@@ -528,13 +532,7 @@ def ptolemy_check(tri, eta_label, theta_curve):
         if len(ys) != 1 or ys[0][1] != 1:
             raise NotAMonomialCoefficient(
                 "side product has a non-monomial coefficient")
-        coeff = ys[0][0]
-        for v, e in coeff.items():
-            if e % 2:
-                raise NotAMonomialCoefficient(
-                    "coefficient exponent of %s is half-integral"
-                    % format_var(v))
-        out.append((coeff, sides))
+        out.append((_integral(ys[0][0]), sides))
     check = Poly.zero()
     for coeff, sides in out:
         check = check + Poly.from_mono(coeff.mul(sides))

@@ -317,7 +317,6 @@ class SnakeGraph:
             self._tile_sides(j)["N" if self.grid_dirs[j] == NORTH else "E"]
             for j in range(d - 1))
         self.edge_key_a = first["S"]
-        self.edge_key_b = first["W"]
         self.edge_key_w = last["N"] if d % 2 == 1 else last["E"]
         self.edge_key_z = last["E"] if d % 2 == 1 else last["N"]
         verts = set()

@@ -227,9 +227,6 @@ class Triangulation:
                 "arc %r has no triangle on its far side" % (arc,))
         return others[0]
 
-    def notched_label(self, radius, puncture):
-        return "%s(%s)" % (radius, puncture)
-
     def endpoint_count(self, arc, puncture):
         """How many ends of the arc sit at the puncture (0, 1 or 2)."""
         if arc not in self.arc_ends:
@@ -326,11 +323,10 @@ class Layout:
 
 
 def _check_crossing_repeats(tri, crossings):
-    radii = {sf["radius"] for sf in tri.self_folded}
-    nooses = {sf["noose"] for sf in tri.self_folded}
+    folded = {sf[k] for sf in tri.self_folded for k in ("radius", "noose")}
     for i in range(len(crossings) - 1):
         if crossings[i] == crossings[i + 1]:
-            if crossings[i] in radii | nooses:
+            if crossings[i] in folded:
                 raise UnsupportedSelfFoldedSelfIntersection(
                     "curve crosses %r twice in a row inside a self-folded "
                     "triangle; this configuration is not supported"
@@ -338,7 +334,7 @@ def _check_crossing_repeats(tri, crossings):
             raise NonAdjacentCrossings(
                 "curve crosses %r twice in a row" % (crossings[i],))
     for c in crossings:
-        if c not in tri.arcs:
+        if c not in tri._arc_set:
             raise NonAdjacentCrossings(
                 "crossed label %r is not an arc" % (c,))
 
@@ -527,37 +523,30 @@ def graph_for(tri, curve):
 # -- expansion -------------------------------------------------------------
 
 
-def phi_substitution(tri):
-    """Map per-tile coefficient variables to tagged-arc coefficients.
+def coefficient_map(tri, keep_boundary=True):
+    """The substitution that carries a raw expansion into the cluster
+    algebra with principal coefficients.
 
-    Ordinary arcs keep their label; the radius of a self-folded triangle
-    maps to the ratio of its plain and notched variables, the noose to
-    the notched variable alone.
+    Each per-tile ``Y`` goes to its tagged-arc coefficient: an ordinary
+    arc keeps its label, the radius r of a self-folded triangle at the
+    puncture p goes to y_r / y_r(p) and its noose to y_r(p), where r(p)
+    is the notched radius. Each noose variable is rewritten as x_r *
+    x_r(p), and, unless ``keep_boundary`` is set, each boundary variable
+    goes to 1. One pass gives what the three parts would give in turn:
+    their keys are disjoint, and no value holds a key of a later part,
+    since the coefficient values hold only ``y`` variables and the noose
+    values only ``x`` variables.
     """
-    out = {}
-    special = {}
+    out = {("Y", a): Mono({("y", a): 2}) for a in tri.arcs}
     for sf in tri.self_folded:
-        notched = tri.notched_label(sf["radius"], sf["puncture"])
-        special[sf["radius"]] = Mono(
-            {("y", sf["radius"]): 2, ("y", notched): -2})
-        special[sf["noose"]] = Mono({("y", notched): 2})
-    for a in tri.arcs:
-        out[("Y", a)] = special.get(a, Mono({("y", a): 2}))
+        radius, noose = sf["radius"], sf["noose"]
+        notched = "%s(%s)" % (radius, sf["puncture"])
+        out[("Y", radius)] = Mono({("y", radius): 2, ("y", notched): -2})
+        out[("Y", noose)] = Mono({("y", notched): 2})
+        out[("x", noose)] = Mono({("x", radius): 2, ("x", notched): 2})
+    if not keep_boundary:
+        out.update((("b", b), 1) for b in tri.boundary)
     return out
-
-
-def noose_substitution(tri):
-    """Rewrite each noose variable as radius times notched radius."""
-    out = {}
-    for sf in tri.self_folded:
-        notched = tri.notched_label(sf["radius"], sf["puncture"])
-        out[("x", sf["noose"])] = Mono(
-            {("x", sf["radius"]): 2, ("x", notched): 2})
-    return out
-
-
-def boundary_substitution(tri):
-    return {("b", b): 1 for b in tri.boundary}
 
 
 class ClusterElement:
@@ -577,14 +566,8 @@ class ClusterElement:
 
 
 def specialize(tri, raw, keep_boundary=False):
-    """Push a raw expansion through the tagged-arc coefficient map, the
-    noose rewriting and, unless ``keep_boundary`` is set, the boundary
-    substitution."""
-    x = raw.substitute(phi_substitution(tri))
-    x = x.substitute(noose_substitution(tri))
-    if not keep_boundary:
-        x = x.substitute(boundary_substitution(tri))
-    return x
+    """Push a raw expansion through ``coefficient_map``, in one pass."""
+    return raw.substitute(coefficient_map(tri, keep_boundary))
 
 
 def _finish(tri, raw, keep_boundary):
@@ -618,9 +601,7 @@ def expand(tri, curve, keep_boundary=False):
             raise ValidationError("unknown puncture %r" % (p,))
         folded = [sf for sf in tri.self_folded if sf["puncture"] == p]
         if folded:
-            sf = folded[0]
-            notched = tri.notched_label(sf["radius"], sf["puncture"])
-            term = Mono({("y", sf["radius"]): 2, ("y", notched): -2})
+            term = coefficient_map(tri)[("Y", folded[0]["radius"])]
         else:
             term = Mono({("y", a): 2 * tri.endpoint_count(a, p)
                          for a in tri.arcs})

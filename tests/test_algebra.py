@@ -213,6 +213,36 @@ class TestCanonicalText:
     def test_round_trip(self, p):
         assert parse_poly(format_poly(p)) == p
 
+    def test_parse_does_linear_work(self, monkeypatch):
+        # The numerator of the 18-tile snake with the most matchings has
+        # 6765 terms. Parsing it adds no polynomials and checks one
+        # monomial per term; summing term by term was quadratic.
+        from snakegraphs.snakecore import SnakeGraph
+        g = SnakeGraph([("x", "i%d" % j) for j in range(18)],
+                       ("NEEN" * 5)[:17],
+                       [("x", "g%d" % j) for j in range(17)],
+                       ("b", "a"), ("b", "b"), ("b", "w"), ("b", "z"))
+        num = g.enumerator_by_matrices()
+        text = format_poly(num)
+        calls = []
+
+        def counted(name, original):
+            def counting(*args):
+                calls.append(name)
+                return original(*args)
+            return counting
+
+        for owner, name in ((Poly, "__add__"), (Mono, "__init__"),
+                            (Mono, "mul")):
+            monkeypatch.setattr(owner, name,
+                                counted(name, getattr(owner, name)))
+        assert parse_poly(text) == num
+        assert calls == ["__init__"] * 6765
+
+    def test_parse_sums_repeated_terms(self):
+        assert parse_poly("x:t1*x:t1 + 2*x:t1^2 - y:t1 + y:t1") \
+            == Poly.from_mono(Mono.of("x", "t1", 4), 3)
+
     def test_parse_rejects_garbage(self):
         for bad in ["", "x", "x:t1^", "q:t1", "x:t1^^2", "x:"]:
             with pytest.raises(PolyParseError):

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import tempfile
 from importlib import resources
 
@@ -334,6 +335,7 @@ class TestErrors:
         ["bmatrix", "--keep-boundary"],
         ["bmatrix", "--curve", "core"],
         ["matchings", "--keep-boundary"],
+        ["verify", "--keep-boundary"],
         ["skein-check", "--max-tiles", "2"],
     ])
     def test_flags_a_verb_ignores_are_refused(self, argv):
@@ -403,3 +405,67 @@ class TestLabelsReadBack:
                                          "a:b", "(", "-"))
                         | st.text(max_size=5))
         assert_refused_or_read_back(*expand_renamed(name, old, new))
+
+
+SURFACE_VERBS = (["expand"], ["expand", "--keep-boundary"], ["bmatrix"],
+                 ["matchings"], ["snake-dot"], ["verify"])
+FUZZ_VALUES = (None, True, 1.5, -1, 10 ** 6, "", [], {})
+
+
+def slots(doc):
+    """Every (container, key or index) pair of a JSON document."""
+    out = []
+    todo = [doc]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, dict):
+            pairs = node.items()
+        elif isinstance(node, list):
+            pairs = enumerate(node)
+        else:
+            continue
+        for key, value in pairs:
+            out.append((node, key))
+            todo.append(value)
+    return out
+
+
+def mutate(doc, rng):
+    """Make one or two random changes to ``doc`` in place: drop a key or
+    an entry, or replace a value by one of FUZZ_VALUES."""
+    for _ in range(rng.randint(1, 2)):
+        node, key = rng.choice(slots(doc))
+        if rng.random() < 0.25:
+            del node[key]
+        else:
+            node[key] = json.loads(json.dumps(rng.choice(FUZZ_VALUES)))
+    return doc
+
+
+class TestMutationFuzz:
+    """Seeded random damage to each fixture never escapes as a Python
+    exception: every verb exits 0 or 1, with at most one stderr line."""
+
+    SEEDS = 30
+
+    @pytest.mark.parametrize("name,verbs", [
+        ("annulus", SURFACE_VERBS),
+        ("selffolded_disk", SURFACE_VERBS),
+        ("punctured_torus", SURFACE_VERBS),
+        ("hexagon", SURFACE_VERBS),
+        ("skein_octagon", (["skein-check"],)),
+    ])
+    def test_mutated_fixture(self, tmp_path, name, verbs):
+        path = str(tmp_path / "mutant.json")
+        for seed in range(self.SEEDS):
+            doc = mutate(json.loads(golden(name + ".json")),
+                         random.Random(seed))
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+            for verb in verbs:
+                err = io.StringIO()
+                with contextlib.redirect_stderr(err):
+                    code, _ = run(verb + [path])
+                assert code in (0, 1), (seed, verb, doc)
+                assert err.getvalue().count("\n") == (code == 1), \
+                    (seed, verb, doc, err.getvalue())

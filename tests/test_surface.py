@@ -6,6 +6,8 @@ module was written.
 """
 
 import json
+import random
+from importlib import resources
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,12 +31,16 @@ from snakegraphs.surface import (
     ValidationError,
     arc_layout,
     build_band_graph,
+    coefficient_map,
     expand,
     expand_by_matrices,
     graph_for,
     loop_layout,
+    signed_reading,
+    specialize,
     triangulation_from_dict,
 )
+from snakegraphs.selftest import random_surface_curves
 
 
 def annulus():
@@ -418,6 +424,94 @@ class TestExpand:
         kinked = expand(t, Curve("arc", crossings=["1"], start_triangle=3,
                                  end_triangle=0, kinks=1))
         assert kinked.laurent == -plain.laurent
+
+
+def three_passes(tri, raw, keep_boundary):
+    """The specialization as three substitutions in turn: the tagged-arc
+    coefficients, the noose rewriting and the boundary variables to 1."""
+    phi, noose = {("Y", a): Mono({("y", a): 2}) for a in tri.arcs}, {}
+    for sf in tri.self_folded:
+        r, notched = sf["radius"], "%s(%s)" % (sf["radius"], sf["puncture"])
+        phi[("Y", r)] = Mono({("y", r): 2, ("y", notched): -2})
+        phi[("Y", sf["noose"])] = Mono({("y", notched): 2})
+        noose[("x", sf["noose"])] = Mono({("x", r): 2, ("x", notched): 2})
+    out = raw.substitute(phi).substitute(noose)
+    if not keep_boundary:
+        out = out.substitute({("b", b): 1 for b in tri.boundary})
+    return out
+
+
+def fixture_curves():
+    """(triangulation, curve) for every curve with a graph in the bundled
+    fixtures."""
+    out = []
+    for name in ("annulus", "selffolded_disk", "punctured_torus", "hexagon",
+                 "skein_octagon"):
+        doc = json.loads((resources.files("snakegraphs") / "fixtures"
+                          / (name + ".json")).read_text(encoding="utf-8"))
+        tri, curves = triangulation_from_dict(doc.get("surface", doc))
+        out.extend(pytest.param(tri, c, id="%s:%s" % (name, c.name))
+                   for c in curves if c.has_graph())
+    return out
+
+
+def assert_one_pass_is_three(tri, curve):
+    """Both routes' raw readings specialize in one pass as in three, and
+    both expansions are that result."""
+    g = graph_for(tri, curve)
+    raws = [signed_reading(curve, lambda: read().div_mono(g.crossing_mono()))
+            for read in (g.enumerator_by_matchings,
+                         g.enumerator_by_matrices)]
+    for keep in (False, True):
+        want = three_passes(tri, raws[0], keep)
+        for raw in raws:
+            assert specialize(tri, raw, keep) == three_passes(tri, raw, keep)
+        assert expand(tri, curve, keep).laurent == want
+        assert expand_by_matrices(tri, curve, keep).laurent == want
+
+
+class TestCoefficientMap:
+    def test_folded_disk_map(self):
+        t = folded_disk()
+        kept = {("Y", "l"): Mono({("y", "r(p)"): 2}),
+                ("Y", "r"): Mono({("y", "r"): 2, ("y", "r(p)"): -2}),
+                ("x", "l"): Mono({("x", "r"): 2, ("x", "r(p)"): 2})}
+        assert coefficient_map(t) == kept
+        assert coefficient_map(t, keep_boundary=False) == {
+            **kept, ("b", "a"): 1, ("b", "b"): 1}
+
+    @pytest.mark.parametrize("tri,curve", fixture_curves())
+    def test_fixture_curves(self, tri, curve):
+        assert_one_pass_is_three(tri, curve)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2 ** 32))
+    def test_random_polygon_and_ring_curves(self, seed):
+        for tri, curve in random_surface_curves(random.Random(seed), 3):
+            assert_one_pass_is_three(tri, curve)
+
+    @pytest.mark.parametrize("keep_boundary", [False, True])
+    @pytest.mark.parametrize("route", [expand, expand_by_matrices])
+    @pytest.mark.parametrize("tri,curve", [
+        (annulus(), Curve("arc", crossings=["1"], start_triangle=3,
+                          end_triangle=0)),
+        (folded_disk(), Curve("arc", crossings=["r", "l"],
+                              start_triangle=1, end_triangle=0)),
+    ])
+    def test_two_substitutions_per_expansion(self, monkeypatch, tri, curve,
+                                             route, keep_boundary):
+        # one specialization and one for the F-polynomial; the three
+        # parts of the specialization used to take a pass each
+        calls = []
+        original = Poly.substitute
+
+        def counting(p, mapping):
+            calls.append(mapping)
+            return original(p, mapping)
+
+        monkeypatch.setattr(Poly, "substitute", counting)
+        route(tri, curve, keep_boundary=keep_boundary)
+        assert len(calls) == 2
 
 
 class TestGraphBuilders:
