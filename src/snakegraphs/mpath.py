@@ -65,11 +65,8 @@ class MPath:
         self.steps = list(steps)
         self.closed = closed
 
-    def matrix(self, reduced=False):
-        return path_matrix(self.steps, reduced)
-
     def value(self, reduced=False):
-        m = self.matrix(reduced)
+        m = path_matrix(self.steps, reduced)
         return abs_poly(m.trace() if self.closed else m.upper_right())
 
 
@@ -79,9 +76,7 @@ class MPath:
 def path_for_curve(tri, curve):
     """The standard step sequence of an arc or a loop, read off its snake
     or band graph."""
-    groups = graph_for(tri, curve).step_groups()
-    return MPath([s for group in groups for s in group],
-                 closed=curve.kind == "loop")
+    return MPath(graph_for(tri, curve).steps(), closed=curve.kind == "loop")
 
 
 # -- specializations -------------------------------------------------------

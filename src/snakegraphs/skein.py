@@ -97,7 +97,7 @@ def _random_mat(rng, vars_):
 
 
 def _random_unimodular(rng, vars_):
-    m = Mat2.identity()
+    steps = []
     for _ in range(rng.randint(1, 4)):
         v = rng.choice(vars_)
         w = rng.choice(vars_)
@@ -105,8 +105,8 @@ def _random_unimodular(rng, vars_):
             s = shear(v, w, rng.choice(vars_), rng.choice([CW, CCW]))
         else:
             s = pivot(v, rng.choice([1, -1]))
-        m = path_matrix([s]) * m
-    return m
+        steps.append(s)
+    return path_matrix(steps)
 
 
 def check_matrix_identities(trials, seed=0):

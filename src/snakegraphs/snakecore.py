@@ -8,8 +8,9 @@ independent oracle.
 
 The transfer matrices are products of elementary steps: shears, twists
 and pivots. Each graph builds its standard step sequence from its own
-labels; the transfer matrix of a snake is the product of its transition
-groups, and the full product reads off the expansion.
+labels; the transfer matrix of a snake is the product of its tile
+transitions, and the product of the whole sequence reads off the
+expansion.
 
 Grid conventions (frozen, everything else depends on them):
 
@@ -169,26 +170,30 @@ def step_matrix(step, reduced=False):
     raise StepFormatError("unknown step kind %r" % (step.kind,))
 
 
-def _product(mats):
-    m = None
-    for x in mats:
-        m = x if m is None else x * m
-    return Mat2.identity() if m is None else m
-
-
 def path_matrix(steps, reduced=False):
-    """Product of a step sequence; later steps multiply on the left."""
-    return _product(step_matrix(s, reduced) for s in steps)
+    """Product of a step sequence; later steps multiply on the left.
 
-
-def _grouped_product(groups):
-    """Product of a grouped step sequence.
-
-    Each group is multiplied out before it meets the accumulator, whose
-    entries grow with the number of tiles: one large product per group
-    instead of one per step.
+    The steps from each twist up to the next are multiplied out before
+    they meet the accumulator, whose entries grow with the number of
+    tiles. The steps before the first twist (an arc's start, which holds
+    a pivot) join last: a fan chord's product stays triangular until
+    then, and the pivot would fill its zero entries.
     """
-    return _product(path_matrix(group) for group in groups)
+    def times(a, b):  # a * b, where None stands for the identity
+        return a if b is None else b if a is None else a * b
+
+    head = group = prod = None
+    for s in steps:
+        m = step_matrix(s, reduced)
+        if s.kind == 2:
+            prod, group = times(group, prod), m
+        elif group is not None:
+            group = m * group
+        else:
+            head = times(m, head)
+    prod = times(group, prod)  # its own statement, so the old prod is freed
+    prod = times(prod, head)
+    return Mat2.identity() if prod is None else prod
 
 
 def _edge_key(v1, v2):
@@ -333,7 +338,7 @@ class SnakeGraph:
         A matching is the minimal one with the four sides of each tile it
         encloses toggled. The enclosed sets are the 0/1 words on the tiles
         that avoid (1, 0) where the turn into the next tile is
-        counterclockwise (see ``_transition_groups``) and (0, 1) where it
+        counterclockwise (see ``_transitions``) and (0, 1) where it
         is clockwise: the order ideals of a fence on the tiles. A
         depth-first walk over the tiles, with a stack rather than
         recursion, builds each matching and its height once, and stores
@@ -438,54 +443,45 @@ class SnakeGraph:
 
     # -- matrix route ------------------------------------------------------
 
-    def _transition_groups(self):
-        """One step group per tile transition. Turn j is counterclockwise
+    def _transitions(self):
+        """The steps of the tile transitions. Turn j is counterclockwise
         when shape letter j repeats the one before it (the first letter
         counts as a repeat of NORTH); it then takes a twist and a shear,
-        and a clockwise turn a twist, shear, pivot and shear. Like those
-        of ``step_groups``, these steps carry labels that were checked
-        when the graph was built."""
-        groups = []
+        and a clockwise turn a twist, shear, pivot and shear. Like the
+        rest of ``steps``, these carry labels that were checked when the
+        graph was built."""
+        out = []
         for j in range(self.d - 1):
             t0, t1 = self.diagonals[j], self.diagonals[j + 1]
             g = self.glue_labels[j]
-            group = [Step(2, t0, None, None, CW)]
+            out.append(Step(2, t0, None, None, CW))
             if self.shapes[j] == (self.shapes[j - 1] if j else NORTH):
-                group.append(Step(1, t0, t1, g, CW))
+                out.append(Step(1, t0, t1, g, CW))
             else:
-                group += [Step(1, g, t0, t1, CW), Step(3, g, None, None, 1),
-                          Step(1, g, t1, t0, CW)]
-            groups.append(group)
-        return groups
+                out += [Step(1, g, t0, t1, CW), Step(3, g, None, None, 1),
+                        Step(1, g, t1, t0, CW)]
+        return out
 
-    def step_groups(self):
-        """The standard step sequence of the arc, grouped: the start
-        steps, one group per tile transition and the end steps."""
+    def steps(self):
+        """The standard step sequence of the arc: the start steps, the
+        tile transitions and the end steps."""
         a, b = self.corner_a, self.corner_b
         w, z = self.corner_w, self.corner_z
         first, last = self.diagonals[0], self.diagonals[-1]
-        return ([[Step(3, a, None, None, 1), Step(1, a, first, b, CW)]]
-                + self._transition_groups()
-                + [[Step(2, last, None, None, CW), Step(1, last, z, w, CW),
-                    Step(3, z, None, None, 1)]])
+        return ([Step(3, a, None, None, 1), Step(1, a, first, b, CW)]
+                + self._transitions()
+                + [Step(2, last, None, None, CW), Step(1, last, z, w, CW),
+                   Step(3, z, None, None, 1)])
 
     def transfer_matrix(self):
-        """The product of the transition groups."""
-        return _grouped_product(self._transition_groups())
+        """The product of the tile transitions."""
+        return path_matrix(self._transitions())
 
     def enumerator_by_matrices(self):
         """Crossing monomial times the upper-right entry of the product
-        of all step groups.
-
-        The start group joins last. The transition product stays
-        triangular while its turns all go the same way (a long chord in
-        a fan); a start group multiplied in first would fill its zero
-        entries and make every later product larger.
-        """
-        start, *transitions, end = self.step_groups()
-        prod = (path_matrix(end) * _grouped_product(transitions)
-                * path_matrix(start))
-        return Poly.from_mono(self.crossing_mono()) * prod.upper_right()
+        of the standard step sequence."""
+        return (Poly.from_mono(self.crossing_mono())
+                * path_matrix(self.steps()).upper_right())
 
     def enumerator_by_matchings(self):
         return _matching_sum(self.weighted_matchings())
@@ -567,22 +563,21 @@ class BandGraph:
     def enumerator_by_matchings(self):
         return _matching_sum(self.good_matchings())
 
-    def step_groups(self):
-        """The standard step sequence of the loop, grouped: one group per
-        tile transition and the closing steps. A loop has no start
-        steps."""
+    def steps(self):
+        """The standard step sequence of the loop: the tile transitions
+        and the closing steps. A loop has no start steps."""
         base = self.base
         first, last = base.diagonals[0], base.diagonals[-1]
         cut = self.cut_label
-        return base._transition_groups() + [[
+        return base._transitions() + [
             Step(2, last, None, None, CW), Step(1, cut, last, first, CW),
-            Step(3, cut, None, None, 1), Step(1, cut, first, last, CW)]]
+            Step(3, cut, None, None, 1), Step(1, cut, first, last, CW)]
 
     def enumerator_by_matrices(self):
-        """Crossing monomial times the trace of the product of all step
-        groups."""
-        prod = _grouped_product(self.step_groups())
-        return Poly.from_mono(self.crossing_mono()) * prod.trace()
+        """Crossing monomial times the trace of the product of the
+        standard step sequence."""
+        return (Poly.from_mono(self.crossing_mono())
+                * path_matrix(self.steps()).trace())
 
     def good_matchings_by_exhaustion(self):
         """Oracle: matchings of the identified graph, filtered directly.

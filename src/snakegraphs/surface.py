@@ -85,12 +85,16 @@ class Triangulation:
             raise ValidationError("labels used as both arc and boundary")
         if len(arcset) != len(self.arcs) or len(bset) != len(self.boundary):
             raise ValidationError("duplicate arc or boundary labels")
-        folded = {}
+        folded, named = {}, set()
         for sf in self.self_folded:
             if set(sf) != {"noose", "radius", "puncture"}:
                 raise MalformedSelfFolded(
                     "self-folded record needs noose/radius/puncture")
-            folded.setdefault(_folded_sides(sf), sf)
+            if {sf["noose"], sf["radius"]} & named:
+                raise MalformedSelfFolded(
+                    "self-folded record %r reuses an arc" % (sf,))
+            named |= {sf["noose"], sf["radius"]}
+            folded[_folded_sides(sf)] = sf
         radii = {sf["radius"] for sf in self.self_folded}
         counts, homes, shapes = {}, {}, set()
         for idx, tri in enumerate(self.triangles):

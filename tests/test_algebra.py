@@ -450,12 +450,11 @@ class TestTrustedConstruction:
             p = graph.enumerator_by_matchings()
             assert p == _validated(p)
             assert hash(p) == hash(_validated(p))
-            for group in graph.step_groups():
-                for step in group:
-                    mat = step_matrix(step, reduced)
-                    for p in (mat.a, mat.b, mat.c, mat.d):
-                        assert p == _validated(p)
-                        assert hash(p) == hash(_validated(p))
+            for step in graph.steps():
+                mat = step_matrix(step, reduced)
+                for p in (mat.a, mat.b, mat.c, mat.d):
+                    assert p == _validated(p)
+                    assert hash(p) == hash(_validated(p))
 
 
 def _validated(p):

@@ -11,7 +11,8 @@ from importlib import resources
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from snakegraphs.algebra import format_poly, parse_poly
+from snakegraphs import cli
+from snakegraphs.algebra import Poly, format_poly, parse_poly
 from snakegraphs.cli import main
 
 FIXTURES = resources.files("snakegraphs") / "fixtures"
@@ -147,6 +148,21 @@ class TestOtherVerbs:
         assert code == 0
         assert text == ("curve core: methods agree\n"
                         "curve bridge: methods agree\n")
+
+    def test_verify_reports_a_method_mismatch(self, monkeypatch, capsys):
+        expand_by_matrices = cli.expand_by_matrices
+
+        def off_by_one(tri, curve, keep_boundary=False):
+            element = expand_by_matrices(tri, curve, keep_boundary)
+            element.laurent = element.laurent + Poly.one()
+            return element
+
+        monkeypatch.setattr(cli, "expand_by_matrices", off_by_one)
+        code, _ = run(["verify", fixture("annulus.json")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("MethodMismatch: curve")
+        assert err.count("\n") == 1 and err.endswith("\n")
 
     def test_verify_skips_special_kinds(self):
         code, text = run(["verify", fixture("punctured_torus.json")])

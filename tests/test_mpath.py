@@ -6,8 +6,9 @@ every admissible position and the absolute readings are compared.
 """
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from snakegraphs.algebra import Mat2, Poly, parse_poly
+from snakegraphs.algebra import Mat2, Mono, Poly, parse_poly
 from snakegraphs.mpath import (
     CCW,
     CW,
@@ -32,7 +33,19 @@ from snakegraphs.mpath import (
     swap_twist_pivot,
     twist,
 )
-from snakegraphs.surface import Curve, Triangulation, ValidationError, expand
+from snakegraphs.selftest import (
+    fan_chord,
+    fan_triangulation,
+    ring_triangulation,
+)
+from snakegraphs.snakecore import step_matrix
+from snakegraphs.surface import (
+    Curve,
+    Triangulation,
+    ValidationError,
+    expand,
+    graph_for,
+)
 
 from test_surface import annulus, folded_disk, quadrilateral, torus
 
@@ -104,6 +117,66 @@ class TestReadings:
         m = path_matrix(path.steps, reduced=True)
         minv = path_matrix(invert_steps(path.steps), reduced=True)
         assert m * minv == Mat2.identity()
+
+
+def flat_fold(steps, reduced):
+    """Reference product: step_matrix(s_n) * ... * step_matrix(s_1),
+    one step at a time."""
+    m = Mat2.identity()
+    for s in steps:
+        m = step_matrix(s, reduced) * m
+    return m
+
+
+labels = st.sampled_from([("x", "a"), ("x", "b"), ("b", "c")])
+directions = st.sampled_from([CW, CCW])
+twists = st.builds(twist, labels, directions)
+non_twists = st.one_of(
+    st.builds(shear, labels, labels, labels, directions),
+    st.builds(pivot, labels, st.sampled_from([1, -1])))
+
+
+@st.composite
+def step_sequences(draw):
+    """0-12 steps: up to four before the first twist, then an optional
+    twist and up to seven steps of any kind."""
+    lead = draw(st.lists(non_twists, max_size=4))
+    first = draw(st.lists(twists, max_size=1))
+    rest = draw(st.lists(st.one_of(twists, non_twists), max_size=7))
+    return lead + first + rest
+
+
+class TestPathMatrix:
+    @settings(max_examples=150, deadline=None)
+    @given(step_sequences(), st.booleans())
+    def test_grouped_product_is_the_flat_fold(self, steps, reduced):
+        assert path_matrix(steps, reduced) == flat_fold(steps, reduced)
+
+
+class TestWorkCounts:
+    @pytest.mark.parametrize("tri,curve", [
+        (fan_triangulation(40), fan_chord(40, 3, 34)),
+        (ring_triangulation(3), Curve(
+            "loop", crossings=[str(j) for j in range(1, 7)],
+            basepoint_triangle=5)),
+    ])
+    def test_m_path_reading_multiplies_no_more_than_the_graph_route(
+            self, monkeypatch, tri, curve):
+        # both readings multiply the same steps; the graph route also
+        # multiplies by the crossing monomial
+        calls = []
+        mul = Mono.mul
+
+        def counting(self, other):
+            calls.append(1)
+            return mul(self, other)
+
+        monkeypatch.setattr(Mono, "mul", counting)
+        chi_hat(path_for_curve(tri, curve))
+        by_path = len(calls)
+        del calls[:]
+        graph_for(tri, curve).enumerator_by_matrices()
+        assert 0 < by_path <= len(calls)
 
 
 def arc_paths():

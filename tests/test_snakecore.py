@@ -179,9 +179,8 @@ class TestWorkCounts:
         rebuild = {1: lambda s: shear(s.tau, s.tau_prime, s.sigma, s.mode),
                     2: lambda s: twist(s.tau, s.mode),
                     3: lambda s: pivot(s.tau, s.mode)}
-        for group in g.step_groups():
-            for s in group:
-                assert rebuild[s.kind](s) == s
+        for s in g.steps():
+            assert rebuild[s.kind](s) == s
         calls = []
         self._count(monkeypatch, Mono, "__init__", calls)
         g.enumerator_by_matrices()

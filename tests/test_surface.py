@@ -200,7 +200,9 @@ def glued_fans(draw):
         triangles += [("fa", "fb", "l"), ("r", "r", "l")]
         self_folded.append({"noose": "l", "radius": "r", "puncture": "o"})
         if draw(st.booleans()):
-            # a second record for the same triangle: the first one wins
+            # a second record for the same triangle, which is refused: a
+            # self-folded triangle encloses one puncture, and its radius
+            # would get a second notched label
             punctures.append("o2")
             self_folded.append(
                 {"noose": "l", "radius": "r", "puncture": "o2"})
@@ -216,6 +218,11 @@ class TestIndexedQueries:
     @given(glued_fans())
     def test_index_matches_plain_scans(self, surface):
         arcs, boundary, punctures, triangles, self_folded = surface
+        if len(self_folded) == 2:
+            with pytest.raises(MalformedSelfFolded, match="reuses an arc"):
+                Triangulation(arcs, boundary, punctures, triangles,
+                              self_folded=self_folded)
+            return
         want = reference_orientation_error(arcs, triangles, self_folded)
         try:
             t = Triangulation(arcs, boundary, punctures, triangles,
