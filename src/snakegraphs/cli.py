@@ -43,6 +43,10 @@ def _load_json(path):
     except json.JSONDecodeError as exc:
         raise ParseError("%s: line %d column %d: %s"
                          % (path, exc.lineno, exc.colno, exc.msg)) from exc
+    except (ValueError, RecursionError) as exc:
+        # bytes that are not UTF-8, a number past the interpreter's digit
+        # limit, or nesting past its recursion limit
+        raise ParseError("%s: %s" % (path, exc)) from exc
 
 
 def _load_surface(path):
@@ -174,8 +178,11 @@ def _cmd_skein_check(args, out):
         raise ParseError(
             "%s: expected an object with surface and instance keys"
             % (args.input,))
-    tri, curves = triangulation_from_dict(doc["surface"])
-    inst = instance_from_dict(doc["instance"], named_curves=curves)
+    try:
+        tri, curves = triangulation_from_dict(doc["surface"])
+        inst = instance_from_dict(doc["instance"], named_curves=curves)
+    except ValidationError as exc:
+        raise ParseError("%s: %s" % (args.input, exc)) from exc
     report = verify_skein(tri, inst)
     out.write(report.as_text())
     out.write("\n")

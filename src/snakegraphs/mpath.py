@@ -17,6 +17,9 @@ from .algebra import format_var, parse_var
 from .snakecore import (
     CCW,
     CW,
+    PIVOT,
+    SHEAR,
+    TWIST,
     MPathError,
     StepFormatError,
     path_matrix,
@@ -32,22 +35,13 @@ class MixedSigns(MPathError):
 
 
 def invert_steps(steps):
-    """Reverse the sequence and invert each step.
+    """Reverse the sequence and invert each step by negating its mode.
 
     Exact for shears and pivots; for twists the direction flip inverts
     the reduced matrix (the unreduced matrices differ by a monomial
     factor, which the absolute-value readings absorb).
     """
-    flipped = []
-    for s in reversed(steps):
-        if s.kind == 1:
-            flipped.append(shear(s.tau, s.tau_prime, s.sigma,
-                                 CW if s.mode == CCW else CCW))
-        elif s.kind == 2:
-            flipped.append(twist(s.tau, CW if s.mode == CCW else CCW))
-        else:
-            flipped.append(pivot(s.tau, -s.mode))
-    return flipped
+    return [s._replace(mode=-s.mode) for s in reversed(steps)]
 
 
 def abs_poly(p):
@@ -104,18 +98,15 @@ def reroute_shear(steps, index):
     other side of its triangle. The product picks up a global sign, so
     absolute readings are unchanged."""
     s = steps[index]
-    if s.kind != 1:
+    if s.kind != SHEAR:
         raise MPathError("step %d is not a shear" % index)
-    if s.mode == CW:
-        sg, d = -1, CCW
-    else:
-        sg, d = 1, CW
+    m = -s.mode  # the detour turns the other way
     block = [
-        pivot(s.tau, sg),
-        shear(s.tau, s.sigma, s.tau_prime, d),
-        pivot(s.sigma, sg),
-        shear(s.sigma, s.tau_prime, s.tau, d),
-        pivot(s.tau_prime, sg),
+        pivot(s.tau, m),
+        shear(s.tau, s.sigma, s.tau_prime, m),
+        pivot(s.sigma, m),
+        shear(s.sigma, s.tau_prime, s.tau, m),
+        pivot(s.tau_prime, m),
     ]
     return steps[:index] + block + steps[index + 1:]
 
@@ -130,10 +121,10 @@ def swap_twist_pivot(steps, index):
     product is unchanged because antidiagonal factors conjugate the two
     diagonal forms into each other."""
     a, b = steps[index], steps[index + 1]
-    if a.kind == 2 and b.kind == 3:
-        pair = [b, twist(a.tau, CW if a.mode == CCW else CCW)]
-    elif a.kind == 3 and b.kind == 2:
-        pair = [twist(b.tau, CW if b.mode == CCW else CCW), a]
+    if a.kind == TWIST and b.kind == PIVOT:
+        pair = [b, a._replace(mode=-a.mode)]
+    elif a.kind == PIVOT and b.kind == TWIST:
+        pair = [b._replace(mode=-b.mode), a]
     else:
         raise MPathError("steps %d, %d are not a twist and pivot pair"
                          % (index, index + 1))
@@ -155,18 +146,24 @@ def rotate_loop(steps, k):
 # -- text form -------------------------------------------------------------
 
 
+# A step is written as its kind's digit, the word for its mode and its
+# labels. Each kind's constructor, words by mode and number of labels:
+_TEXT_FORMS = {
+    SHEAR: (shear, {CW: "cw", CCW: "ccw"}, 3),
+    TWIST: (twist, {CW: "cw", CCW: "ccw"}, 1),
+    PIVOT: (pivot, {1: "+", -1: "-"}, 1),
+}
+_BY_DIGIT = {str(kind): (make, {w: m for m, w in words.items()}, n)
+             for kind, (make, words, n) in _TEXT_FORMS.items()}
+
+
 def format_steps(steps):
     lines = []
     for s in steps:
-        if s.kind == 1:
-            lines.append("1 %s %s %s %s" % (
-                s.mode, format_var(s.tau), format_var(s.tau_prime),
-                format_var(s.sigma)))
-        elif s.kind == 2:
-            lines.append("2 %s %s" % (s.mode, format_var(s.tau)))
-        else:
-            lines.append("3 %s %s" % ("+" if s.mode == 1 else "-",
-                                      format_var(s.tau)))
+        _, words, n = _TEXT_FORMS[s.kind]
+        labels = (s.tau, s.tau_prime, s.sigma)[:n]
+        lines.append(" ".join([str(s.kind), words[s.mode]]
+                              + [format_var(v) for v in labels]))
     return "\n".join(lines)
 
 
@@ -174,25 +171,19 @@ def parse_steps(text):
     steps = []
     for raw in text.splitlines():
         line = raw.strip()
-        if not line:
-            continue
         parts = line.split()
+        if not parts:
+            continue
+        form = _BY_DIGIT.get(parts[0])
+        if form is None or len(parts) != form[2] + 2:
+            raise StepFormatError("bad step line %r" % (line,))
+        make, modes, _ = form
         try:
-            if parts[0] == "1" and len(parts) == 5:
-                steps.append(shear(parse_var(parts[2]),
-                                   parse_var(parts[3]),
-                                   parse_var(parts[4]), parts[1]))
-            elif parts[0] == "2" and len(parts) == 3:
-                steps.append(twist(parse_var(parts[2]), parts[1]))
-            elif parts[0] == "3" and len(parts) == 3:
-                if parts[1] not in ("+", "-"):
-                    raise StepFormatError("bad pivot sign %r" % (parts[1],))
-                steps.append(pivot(parse_var(parts[2]),
-                                   1 if parts[1] == "+" else -1))
-            else:
-                raise StepFormatError("bad step line %r" % (line,))
+            labels = [parse_var(p) for p in parts[2:]]
+            # an unknown word reaches the constructor, which names it
+            steps.append(make(*labels, modes.get(parts[1], parts[1])))
         except StepFormatError:
             raise
-        except (IndexError, ValueError) as exc:
+        except ValueError as exc:
             raise StepFormatError("bad step line %r" % (line,)) from exc
     return steps

@@ -37,7 +37,7 @@ from .skein import (
     ptolemy_check,
     verify_skein,
 )
-from .snakecore import EAST, NORTH, BandGraph, SnakeGraph
+from .snakecore import EAST, NORTH, SHEAR, TWIST, BandGraph, SnakeGraph
 from .surface import (
     Curve,
     Triangulation,
@@ -488,8 +488,8 @@ def _adjustment_section(rng, count, max_tiles=8):
             continue
         path = path_for_curve(tri, curve)
         base = chi_hat(path)
-        shears = [i for i, s in enumerate(path.steps) if s.kind == 1]
-        twists = [i for i, s in enumerate(path.steps) if s.kind == 2]
+        shears = [i for i, s in enumerate(path.steps) if s.kind == SHEAR]
+        twists = [i for i, s in enumerate(path.steps) if s.kind == TWIST]
         i = rng.choice(shears)
         _check(chi_hat(MPath(reroute_shear(path.steps, i))) == base,
                "reroute changed the reading")

@@ -26,6 +26,8 @@ from .algebra import (
 from .mpath import (
     CCW,
     CW,
+    PIVOT,
+    TWIST,
     MixedSigns,
     MPath,
     abs_poly,
@@ -38,7 +40,6 @@ from .mpath import (
     pivot,
     rotate_loop,
     shear,
-    twist,
 )
 from .surface import (
     PuncturedSurface,
@@ -156,7 +157,7 @@ class LoosenedMPath:
 
     def __init__(self, sigma1, core, sigma2):
         for s in list(sigma1) + list(sigma2):
-            if s.kind == 3:
+            if s.kind == PIVOT:
                 raise NotComposable(
                     "prefix and suffix walks cannot contain pivots")
         self.sigma1 = list(sigma1)
@@ -172,14 +173,12 @@ class LoosenedMPath:
         positively. Zero by convention when the core is closed."""
         if self.core.closed:
             return 0
-        total = 0
-        for s in self.sigma1:
-            if s.kind == 2 and s.tau[1] == label:
-                total += 1 if s.mode == CCW else -1
-        for s in self.sigma2:
-            if s.kind == 2 and s.tau[1] == label:
-                total += -1 if s.mode == CCW else 1
-        return total
+
+        def travel(walk):  # clockwise crossings minus counterclockwise
+            return sum(s.mode for s in walk
+                       if s.kind == TWIST and s.tau[1] == label)
+
+        return travel(self.sigma2) - travel(self.sigma1)
 
 
 def crossing_count(curve, label):

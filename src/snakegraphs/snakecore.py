@@ -14,10 +14,12 @@ expansion.
 
 Grid conventions (frozen, everything else depends on them):
 
-  * tile 0 sits at the origin, tile j+1 is one step north or east of
-    tile j; the heading starts east and flips at step j exactly when
-    shape letter j repeats the letter two positions earlier (with the
-    word padded by two norths);
+  * turn j, from tile j into tile j+1, is counterclockwise exactly
+    when shape letter j repeats the letter before it (NORTH before the
+    first), and clockwise otherwise;
+  * tile 0 sits at the origin, and tile j+1 is one step north of tile j
+    when turn j is counterclockwise and j even, or clockwise and j odd,
+    and one step east otherwise;
   * the south edge of tile 0 is corner ``a`` and the west edge corner
     ``b``;
   * a north glue step puts the glue label on the shared horizontal edge,
@@ -37,8 +39,13 @@ from .algebra import Mat2, Mono, Poly, SnakeGraphsError, format_var
 
 NORTH = "N"
 EAST = "E"
-CCW = "ccw"
-CW = "cw"
+# Every orientation is a sign: a step's mode, and a curve's turn.
+CW = 1
+CCW = -1
+# The step kinds, numbered as in the text form.
+SHEAR = 1
+TWIST = 2
+PIVOT = 3
 
 
 class SnakeError(SnakeGraphsError):
@@ -102,71 +109,66 @@ def _term(exps, coeff=1):
 
 
 class Step(NamedTuple):
-    """One elementary step.
-
-    kind 1 (shear): tau, tau_prime, sigma set, mode is "cw" or "ccw".
-    kind 2 (twist): only tau set, mode is "cw" or "ccw".
-    kind 3 (pivot): only tau set, mode is +1 or -1.
-    """
+    """One elementary step: a SHEAR with tau, tau_prime and sigma set, or
+    a TWIST or PIVOT with only tau set. The mode is a sign: CW or CCW
+    for a shear or twist, and the sign of a pivot's matrix; inverting a
+    step negates it."""
 
     kind: int
     tau: tuple
     tau_prime: tuple
     sigma: tuple
-    mode: object
+    mode: int
+
+
+def _step(kind, mode, *labels):
+    """The one check of a step: its mode is +1 or -1 (True, though equal
+    to 1, is refused) and its labels read back."""
+    if type(mode) is not int or mode not in (CW, CCW):
+        raise StepFormatError("bad %s %r" % (
+            ("shear direction", "twist direction", "pivot sign")[kind - 1],
+            mode))
+    _check_labels(*labels)
+    return Step(kind, *(labels + (None, None))[:3], mode)
 
 
 def shear(tau, tau_prime, sigma, direction):
-    if direction not in (CW, CCW):
-        raise StepFormatError("bad shear direction %r" % (direction,))
-    _check_labels(tau, tau_prime, sigma)
-    return Step(1, tau, tau_prime, sigma, direction)
+    return _step(SHEAR, direction, tau, tau_prime, sigma)
 
 
 def twist(tau, direction):
-    if direction not in (CW, CCW):
-        raise StepFormatError("bad twist direction %r" % (direction,))
-    _check_labels(tau)
-    return Step(2, tau, None, None, direction)
+    return _step(TWIST, direction, tau)
 
 
 def pivot(tau, sign):
-    if sign not in (1, -1):
-        raise StepFormatError("bad pivot sign %r" % (sign,))
-    _check_labels(tau)
-    return Step(3, tau, None, None, sign)
+    return _step(PIVOT, sign, tau)
 
 
 def step_matrix(step, reduced=False):
     """The 2x2 matrix of one step.
 
     A shear is unit lower triangular, a twist is diagonal in the per-tile
-    coefficient variable, and a pivot is antidiagonal. With ``reduced``
-    set, twists split their coefficient variable into two half powers so
-    that direction reversal inverts the matrix. The step's labels were
-    checked when it was built, so no entry is checked again.
+    coefficient variable, and a pivot is antidiagonal; each is signed or
+    ordered by the step's mode. With ``reduced`` set, twists split their
+    coefficient variable into two half powers so that negating the mode
+    inverts the matrix; unreduced, both halves carry one more half
+    power. The step's labels were checked when it was built, so no entry
+    is checked again.
     """
-    zero = Poly._trusted({})
-    if step.kind == 1:
+    zero, m = Poly._trusted({}), step.mode
+    if step.kind == SHEAR:
         e = {step.sigma: 2}
         for v in (step.tau, step.tau_prime):  # labels may coincide
             e[v] = e.get(v, 0) - 2
-        s = _term(e, -1 if step.mode == CCW else 1)
         one = _term({})
-        return Mat2._trusted(one, zero, s, one)
-    if step.kind == 2:
-        y = _curly(step.tau)
-        if reduced:
-            lo, hi = {y: -1}, {y: 1}
-        else:
-            lo, hi = {}, {y: 2}
-        if step.mode == CCW:
-            lo, hi = hi, lo
-        return Mat2._trusted(_term(lo), zero, zero, _term(hi))
-    if step.kind == 3:
-        sign = step.mode
-        return Mat2._trusted(zero, _term({step.tau: 2}, sign),
-                             _term({step.tau: -2}, -sign), zero)
+        return Mat2._trusted(one, zero, _term(e, m), one)
+    if step.kind == TWIST:
+        y, half = _curly(step.tau), 0 if reduced else 1
+        return Mat2._trusted(_term({y: half - m}), zero, zero,
+                             _term({y: half + m}))
+    if step.kind == PIVOT:
+        return Mat2._trusted(zero, _term({step.tau: 2}, m),
+                             _term({step.tau: -2}, -m), zero)
     raise StepFormatError("unknown step kind %r" % (step.kind,))
 
 
@@ -185,7 +187,7 @@ def path_matrix(steps, reduced=False):
     head = group = prod = None
     for s in steps:
         m = step_matrix(s, reduced)
-        if s.kind == 2:
+        if s.kind == TWIST:
             prod, group = times(group, prod), m
         elif group is not None:
             group = m * group
@@ -194,10 +196,6 @@ def path_matrix(steps, reduced=False):
     prod = times(group, prod)  # its own statement, so the old prod is freed
     prod = times(prod, head)
     return Mat2.identity() if prod is None else prod
-
-
-def _edge_key(v1, v2):
-    return tuple(sorted((v1, v2)))
 
 
 def _matchings_by_exhaustion(vertices, ends):
@@ -222,6 +220,17 @@ def _matchings_by_exhaustion(vertices, ends):
 
     rec(0, frozenset(), [])
     return found
+
+
+def shape_word(turns):
+    """The shape word of a curve that turns by the given signs: the
+    inverse of the turn rule, so letter j repeats the letter before it
+    (NORTH before the first) exactly at a counterclockwise turn."""
+    word, up = [], True
+    for turn in turns:
+        up ^= turn == CW
+        word.append(NORTH if up else EAST)
+    return word
 
 
 class SnakeGraph:
@@ -262,72 +271,46 @@ class SnakeGraph:
     def d(self):
         return len(self.diagonals)
 
-    def _tile_sides(self, j):
-        px, py = self.positions[j]
-        return {
-            "S": _edge_key((px, py), (px + 1, py)),
-            "W": _edge_key((px, py), (px, py + 1)),
-            "N": _edge_key((px, py + 1), (px + 1, py + 1)),
-            "E": _edge_key((px + 1, py), (px + 1, py + 1)),
-        }
-
     def _build(self):
         d = self.d
-        # The shape word does not give grid steps directly: the grid
-        # changes direction at step j exactly when the shape letter two
-        # steps back (padded with NORTH) repeats. This reconciliation was
-        # found by matching the matrix product against exhaustive
-        # matching sums over all words up to four tiles.
-        padded = (NORTH, NORTH) + self.shapes
-        dirs = []
-        heading = EAST
-        for j in range(d - 1):
-            if padded[j + 2] == padded[j]:
-                heading = NORTH if heading == EAST else EAST
-            dirs.append(heading)
-        self.grid_dirs = tuple(dirs)
+        word = (NORTH,) + self.shapes
+        # the turn rule: whether turn j is counterclockwise
+        self._ccw = [word[j + 1] == word[j] for j in range(d - 1)]
+        # whether tile j + 1 lies north of tile j, rather than east
+        north = [ccw == (j % 2 == 0) for j, ccw in enumerate(self._ccw)]
         pos = [(0, 0)]
-        for s in dirs:
+        for up in north:
             px, py = pos[-1]
-            pos.append((px, py + 1) if s == NORTH else (px + 1, py))
+            pos.append((px, py + 1) if up else (px + 1, py))
         self.positions = pos
-        labels = {}
-
-        def put(key, label):
-            labels[key] = label
-
-        first = self._tile_sides(0)
-        put(first["S"], self.corner_a)
-        put(first["W"], self.corner_b)
+        # each tile's south, west, north and east sides, as sorted
+        # vertex pairs
+        self._sides = []
+        for px, py in pos:
+            sw, nw = (px, py), (px, py + 1)
+            se, ne = (px + 1, py), (px + 1, py + 1)
+            self._sides.append(((sw, se), (sw, nw), (nw, ne), (se, ne)))
+        S, W, N, E = range(4)
+        first, last = self._sides[0], self._sides[-1]
+        labels = {first[S]: self.corner_a, first[W]: self.corner_b}
+        glue_keys = []
         for j in range(d - 1):
-            lo = self._tile_sides(j)
-            hi = self._tile_sides(j + 1)
-            if self.grid_dirs[j] == NORTH:
-                put(lo["N"], self.glue_labels[j])
-                put(lo["E"], self.diagonals[j + 1])
-                put(hi["W"], self.diagonals[j])
-            else:
-                put(lo["E"], self.glue_labels[j])
-                put(lo["N"], self.diagonals[j + 1])
-                put(hi["S"], self.diagonals[j])
-        last = self._tile_sides(d - 1)
-        if d % 2 == 1:
-            put(last["N"], self.corner_w)
-            put(last["E"], self.corner_z)
-        else:
-            put(last["E"], self.corner_w)
-            put(last["N"], self.corner_z)
+            lo, hi = self._sides[j], self._sides[j + 1]
+            # a north step glues on the north side, an east step mirrors it
+            glue, side, back = (N, E, W) if north[j] else (E, N, S)
+            labels[lo[glue]] = self.glue_labels[j]
+            labels[lo[side]] = self.diagonals[j + 1]
+            labels[hi[back]] = self.diagonals[j]
+            glue_keys.append(lo[glue])
+        w, z = (N, E) if d % 2 == 1 else (E, N)
+        labels[last[w]] = self.corner_w
+        labels[last[z]] = self.corner_z
         self.edge_labels = labels
-        self.glue_keys = tuple(
-            self._tile_sides(j)["N" if self.grid_dirs[j] == NORTH else "E"]
-            for j in range(d - 1))
-        self.edge_key_a = first["S"]
-        self.edge_key_w = last["N"] if d % 2 == 1 else last["E"]
-        self.edge_key_z = last["E"] if d % 2 == 1 else last["N"]
-        verts = set()
-        for key in labels:
-            verts.update(key)
-        self.vertices = sorted(verts)
+        self.glue_keys = tuple(glue_keys)
+        self.edge_key_a = first[S]
+        self.edge_key_w = last[w]
+        self.edge_key_z = last[z]
+        self.vertices = sorted({v for key in labels for v in key})
 
     # -- matchings ---------------------------------------------------------
 
@@ -338,17 +321,13 @@ class SnakeGraph:
         A matching is the minimal one with the four sides of each tile it
         encloses toggled. The enclosed sets are the 0/1 words on the tiles
         that avoid (1, 0) where the turn into the next tile is
-        counterclockwise (see ``_transitions``) and (0, 1) where it
-        is clockwise: the order ideals of a fence on the tiles. A
-        depth-first walk over the tiles, with a stack rather than
-        recursion, builds each matching and its height once, and stores
-        the height under the matching in ``_heights`` when a dict is
-        given.
+        counterclockwise and (0, 1) where it is clockwise: the order
+        ideals of a fence on the tiles. A depth-first walk over the
+        tiles, with a stack rather than recursion, builds each matching
+        and its height once, and stores the height under the matching in
+        ``_heights`` when a dict is given.
         """
-        d, word = self.d, (NORTH,) + self.shapes
-        # whether the turn from tile j to tile j + 1 is counterclockwise
-        ccw = [word[j + 1] == word[j] for j in range(d - 1)]
-        sides = [self._tile_sides(j).values() for j in range(d)]
+        d, ccw, sides = self.d, self._ccw, self._sides
         current, enclosed = set(self.minimal_matching()), []
         heights = {} if _heights is None else _heights
         todo = [(0, True), (0, False)]  # (tile, enclosed) still to visit
@@ -444,22 +423,21 @@ class SnakeGraph:
     # -- matrix route ------------------------------------------------------
 
     def _transitions(self):
-        """The steps of the tile transitions. Turn j is counterclockwise
-        when shape letter j repeats the one before it (the first letter
-        counts as a repeat of NORTH); it then takes a twist and a shear,
-        and a clockwise turn a twist, shear, pivot and shear. Like the
-        rest of ``steps``, these carry labels that were checked when the
-        graph was built."""
+        """The steps of the tile transitions: a counterclockwise turn
+        takes a twist and a shear, and a clockwise turn a twist, shear,
+        pivot and shear. Like the rest of ``steps``, these carry labels
+        that were checked when the graph was built."""
         out = []
-        for j in range(self.d - 1):
+        for j, ccw in enumerate(self._ccw):
             t0, t1 = self.diagonals[j], self.diagonals[j + 1]
             g = self.glue_labels[j]
-            out.append(Step(2, t0, None, None, CW))
-            if self.shapes[j] == (self.shapes[j - 1] if j else NORTH):
-                out.append(Step(1, t0, t1, g, CW))
+            out.append(Step(TWIST, t0, None, None, CW))
+            if ccw:
+                out.append(Step(SHEAR, t0, t1, g, CW))
             else:
-                out += [Step(1, g, t0, t1, CW), Step(3, g, None, None, 1),
-                        Step(1, g, t1, t0, CW)]
+                out += [Step(SHEAR, g, t0, t1, CW),
+                        Step(PIVOT, g, None, None, 1),
+                        Step(SHEAR, g, t1, t0, CW)]
         return out
 
     def steps(self):
@@ -468,10 +446,12 @@ class SnakeGraph:
         a, b = self.corner_a, self.corner_b
         w, z = self.corner_w, self.corner_z
         first, last = self.diagonals[0], self.diagonals[-1]
-        return ([Step(3, a, None, None, 1), Step(1, a, first, b, CW)]
+        return ([Step(PIVOT, a, None, None, 1),
+                 Step(SHEAR, a, first, b, CW)]
                 + self._transitions()
-                + [Step(2, last, None, None, CW), Step(1, last, z, w, CW),
-                   Step(3, z, None, None, 1)])
+                + [Step(TWIST, last, None, None, CW),
+                   Step(SHEAR, last, z, w, CW),
+                   Step(PIVOT, z, None, None, 1)])
 
     def transfer_matrix(self):
         """The product of the tile transitions."""
@@ -570,8 +550,10 @@ class BandGraph:
         first, last = base.diagonals[0], base.diagonals[-1]
         cut = self.cut_label
         return base._transitions() + [
-            Step(2, last, None, None, CW), Step(1, cut, last, first, CW),
-            Step(3, cut, None, None, 1), Step(1, cut, first, last, CW)]
+            Step(TWIST, last, None, None, CW),
+            Step(SHEAR, cut, last, first, CW),
+            Step(PIVOT, cut, None, None, 1),
+            Step(SHEAR, cut, first, last, CW)]
 
     def enumerator_by_matrices(self):
         """Crossing monomial times the trace of the product of the

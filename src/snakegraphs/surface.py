@@ -13,11 +13,10 @@ from .algebra import LABEL_RULE, Mono, Poly, SnakeGraphsError, is_label
 from .snakecore import (
     CCW,
     CW,
-    EAST,
-    NORTH,
     BandGraph,
     DegenerateBand,
     SnakeGraph,
+    shape_word,
 )
 
 
@@ -343,18 +342,6 @@ def _check_crossing_repeats(tri, crossings):
                 "crossed label %r is not an arc" % (c,))
 
 
-def _turns_to_shapes(turns):
-    shapes = []
-    for j, turn in enumerate(turns):
-        if j == 0:
-            shapes.append(NORTH if turn == CCW else EAST)
-        elif turn == CCW:
-            shapes.append(shapes[-1])
-        else:
-            shapes.append(EAST if shapes[-1] == NORTH else NORTH)
-    return shapes
-
-
 def _turn_and_glue(tri, idx, prev_cross, next_cross):
     """Turn direction and glue label inside one chain triangle."""
     sf = tri.self_folded_record(idx)
@@ -445,7 +432,7 @@ def arc_layout(tri, curve):
             % (chain[-1], curve.end_triangle))
     a, b = _first_corners(tri, chain[0], crossings[0])
     w, z = _last_corners(tri, chain[-1], crossings[-1])
-    return Layout(_turns_to_shapes(turns), glues, list(crossings),
+    return Layout(shape_word(turns), glues, list(crossings),
                   corner_a=a, corner_b=b, corner_w=w, corner_z=z)
 
 
@@ -491,7 +478,7 @@ def loop_layout(tri, curve):
         cut = tri.third_side(base, crossings[-1], crossings[0])
     else:
         cut = folded["radius"]
-    return Layout(_turns_to_shapes(turns), glues, list(crossings), cut=cut)
+    return Layout(shape_word(turns), glues, list(crossings), cut=cut)
 
 
 def build_snake_graph(tri, curve):

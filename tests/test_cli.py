@@ -213,6 +213,40 @@ class TestErrors:
         assert code == 1
         assert "ParseError" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("content", [
+        b"[" * 100000, b"\xff\xfe{}", b'{"arcs": 1' + b"0" * 5000 + b"}"],
+        ids=["nested-too-deep", "utf-16-mark", "5001-digit-number"])
+    def test_unreadable_json_is_one_line(self, tmp_path, capsys, content):
+        p = tmp_path / "bad.json"
+        p.write_bytes(content)
+        code, _ = run(["expand", str(p)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ParseError: %s: " % p)
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("part,edit", [
+        ("surface", lambda d: d.update(arcs=5)),
+        ("surface", lambda d: d["curves"][0].update(crossings=3)),
+        ("instance", lambda d: d.update(curves=3)),
+        ("instance", lambda d: d.update(sigma1=5)),
+        ("instance", lambda d: d["curves"].update(delta="alpha1")),
+    ], ids=["arcs-number", "crossings-number", "curves-number",
+            "sigma1-number", "unknown-role"])
+    def test_malformed_skein_document_names_its_path(
+            self, tmp_path, capsys, part, edit):
+        # stricter than test_malformed_input_is_one_line: a skein document
+        # is refused like a surface, as a ParseError naming the file
+        doc = json.loads(golden("skein_octagon.json"))
+        edit(doc[part])
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(doc), encoding="utf-8")
+        code, _ = run(["skein-check", str(p)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ParseError: %s: " % p)
+        assert err.count("\n") == 1
+
     def test_skein_check_needs_both_keys(self, tmp_path, capsys):
         p = tmp_path / "half.json"
         p.write_text(json.dumps({"surface": {}}), encoding="utf-8")

@@ -152,6 +152,17 @@ class TestPathMatrix:
     def test_grouped_product_is_the_flat_fold(self, steps, reduced):
         assert path_matrix(steps, reduced) == flat_fold(steps, reduced)
 
+    @settings(max_examples=150, deadline=None)
+    @given(step_sequences())
+    def test_inverted_steps_invert_the_reduced_product(self, steps):
+        assert (path_matrix(invert_steps(steps), True)
+                * path_matrix(steps, True)) == Mat2.identity()
+
+    @settings(max_examples=150, deadline=None)
+    @given(step_sequences())
+    def test_text_form_reads_back(self, steps):
+        assert parse_steps(format_steps(steps)) == steps
+
 
 class TestWorkCounts:
     @pytest.mark.parametrize("tri,curve", [
@@ -254,3 +265,14 @@ class TestTextForm:
             twist(("x", "a"), "down")
         with pytest.raises(StepFormatError):
             pivot(("x", "a"), 0)
+
+    @pytest.mark.parametrize("make", [
+        lambda mode: shear(("x", "a"), ("x", "b"), ("x", "c"), mode),
+        lambda mode: twist(("x", "a"), mode),
+        lambda mode: pivot(("x", "a"), mode)])
+    def test_modes_are_signs(self, make):
+        # a bool equals 1 or 0 but is no sign, nor is the old text word
+        for mode in (True, False, "cw", 1.0):
+            with pytest.raises(StepFormatError):
+                make(mode)
+        assert make(CW).mode == 1 and make(CCW).mode == -1

@@ -243,6 +243,26 @@ class TestFrozenExpansions:
             assert len(set(g.positions[j][1] for j in range(d))) == 1
             assert len(g.perfect_matchings()) == fib[d + 1]
 
+    @staticmethod
+    def heading_rule_positions(shapes):
+        """Reference layout: the heading starts east and flips at step j
+        exactly when shape letter j repeats the letter two places back,
+        the word padded by two norths."""
+        padded = (NORTH, NORTH) + tuple(shapes)
+        pos, heading = [(0, 0)], EAST
+        for j in range(len(shapes)):
+            if padded[j + 2] == padded[j]:
+                heading = NORTH if heading == EAST else EAST
+            px, py = pos[-1]
+            pos.append((px, py + 1) if heading == NORTH else (px + 1, py))
+        return pos
+
+    def test_positions_follow_the_heading_rule(self):
+        for d in range(1, 11):
+            for shapes in itertools.product((NORTH, EAST), repeat=d - 1):
+                assert simple_snake(d, shapes).positions == \
+                    self.heading_rule_positions(shapes)
+
 
 class TestMatchings:
     def test_minimal_is_all_boundary_and_contains_a(self):
