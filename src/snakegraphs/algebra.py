@@ -104,6 +104,24 @@ def _add_power2(d, m, exp2):
     return d
 
 
+# A monomial's hash is the sum of exponent * hash(variable) over its
+# items, masked to 64 bits: it does not depend on the order of the items,
+# and it is linear in the exponents, so the hash of a product is the sum
+# of its factors' hashes. The sum of hash((variable, exponent)) would not
+# do: the tuple hash is nearly linear in the exponent, with one slope for
+# every variable, so monomials that move degree from one variable to
+# another collide (x^a * y^(20 - a) for a in range(-50, 50) take fewer
+# than ten values).
+_HASH_MASK = (1 << 64) - 1
+
+
+def _hash_of(d):
+    h = 0
+    for v, e in d.items():
+        h += e * hash(v)
+    return h & _HASH_MASK
+
+
 class Mono:
     """A Laurent monomial: a finite map from variables to doubled exponents.
 
@@ -128,7 +146,7 @@ class Mono:
             if e:
                 d[v] = e
         self._exps = d
-        self._hash = hash(frozenset(d.items()))
+        self._hash = _hash_of(d)
         self._items = None
 
     @classmethod
@@ -143,9 +161,15 @@ class Mono:
     @classmethod
     def _nonzero(cls, d):
         """``_trusted`` for a dict known to hold no zero exponent."""
+        return cls._hashed(d, _hash_of(d))
+
+    @classmethod
+    def _hashed(cls, d, h):
+        """``_nonzero`` for a dict whose hash is already known, as ``h``
+        up to the mask: a sum or difference of other monomials' hashes."""
         m = cls.__new__(cls)
         m._exps = d
-        m._hash = hash(frozenset(d.items()))
+        m._hash = h & _HASH_MASK
         m._items = None
         return m
 
@@ -163,6 +187,10 @@ class Mono:
             self._items = tuple(
                 _in_variable_order(self._exps.items(), _VARIABLE))
         return self._items
+
+    def exponents(self):
+        """The (variable, doubled exponent) pairs in no particular order."""
+        return self._exps.items()
 
     def exponent2(self, v):
         return self._exps.get(v, 0)
@@ -191,10 +219,17 @@ class Mono:
                 d[v] = e
             else:
                 del d[v]
-        return Mono._nonzero(d)
+        return Mono._hashed(d, self._hash + other._hash)
+
+    def _mul_disjoint(self, other):
+        """``mul`` for a monomial in none of this one's variables: the
+        union of the two dicts."""
+        return Mono._hashed({**self._exps, **other._exps},
+                            self._hash + other._hash)
 
     def inverse(self):
-        return Mono._nonzero({v: -e for v, e in self._exps.items()})
+        return Mono._hashed({v: -e for v, e in self._exps.items()},
+                            -self._hash)
 
     def power2(self, exp2):
         """Raise to the power exp2/2. Requires the result to be integral."""
@@ -263,6 +298,10 @@ class Poly:
     @classmethod
     def of_var(cls, kind, label, exp2=2):
         return cls.from_mono(Mono.of(kind, label, exp2))
+
+    def coefficients(self):
+        """The (monomial, coefficient) pairs in no particular order."""
+        return self._terms.items()
 
     def terms(self):
         """Terms in canonical (graded lexicographic) order: higher total
@@ -448,24 +487,34 @@ def format_mono(m):
     return "*".join(_format_factor(v, e) for v, e in m.items())
 
 
+class _Factors(dict):
+    """(variable, doubled exponent) -> its text, rendered on first use."""
+
+    def __missing__(self, item):
+        text = self[item] = _format_factor(*item)
+        return text
+
+
 def format_poly(p):
     """Render in canonical text form.
 
     Terms appear in graded lexicographic order, joined by " + " or " - ";
-    a leading negative term gets a bare "-" prefix.
+    a leading negative term gets a bare "-" prefix. Each distinct factor
+    is rendered once per call.
     """
     terms = p.terms()
     if not terms:
         return "0"
+    factor = _Factors().__getitem__
     chunks = []
     for i, (m, c) in enumerate(terms):
         mag = abs(c)
         if m.is_unit():
             body = str(mag)
-        elif mag == 1:
-            body = format_mono(m)
         else:
-            body = "%d*%s" % (mag, format_mono(m))
+            body = "*".join(map(factor, m.items()))
+            if mag != 1:
+                body = "%d*%s" % (mag, body)
         if i == 0:
             chunks.append(("-" if c < 0 else "") + body)
         else:

@@ -23,6 +23,7 @@ from .snakecore import (
     MPathError,
     StepFormatError,
     path_matrix,
+    path_reading,
     pivot,
     shear,
     twist,
@@ -60,8 +61,7 @@ class MPath:
         self.closed = closed
 
     def value(self, reduced=False):
-        m = path_matrix(self.steps, reduced)
-        return abs_poly(m.trace() if self.closed else m.upper_right())
+        return abs_poly(path_reading(self.steps, self.closed, reduced))
 
 
 # -- standard sequences ----------------------------------------------------

@@ -33,6 +33,10 @@ Grid conventions (frozen, everything else depends on them):
 
 from __future__ import annotations
 
+from array import array
+from itertools import compress, groupby
+from operator import itemgetter
+from sys import byteorder
 from typing import NamedTuple
 
 from .algebra import Mat2, Mono, Poly, SnakeGraphsError, format_var
@@ -68,6 +72,10 @@ class StepFormatError(MPathError):
     pass
 
 
+class ProductTooWide(MPathError):
+    """A step product whose exponents no packed digit can hold."""
+
+
 def _curly(vid):
     """The per-tile coefficient variable attached to a diagonal label."""
     return ("Y", vid[1])
@@ -90,10 +98,11 @@ def _monomial(vids):
 
 def _matching_sum(rows):
     """The sum of weight times height over (matching, weight, height)
-    rows."""
+    rows. A weight holds edge labels, of kind "x" or "b", and a height
+    only kind "Y", so each term is the union of the two."""
     d = {}
     for _, w, h in rows:
-        m = w.mul(h)
+        m = w._mul_disjoint(h)
         d[m] = d.get(m, 0) + 1
     return Poly._trusted(d)
 
@@ -172,30 +181,159 @@ def step_matrix(step, reduced=False):
     raise StepFormatError("unknown step kind %r" % (step.kind,))
 
 
-def path_matrix(steps, reduced=False):
-    """Product of a step sequence; later steps multiply on the left.
+# Packed digit widths in bits, each with the signed array typecode that
+# reads it.
+_DIGITS = ((16, "h"), (32, "i"), (64, "q"))
 
-    The steps from each twist up to the next are multiplied out before
-    they meet the accumulator, whose entries grow with the number of
-    tiles. The steps before the first twist (an arc's start, which holds
-    a pivot) join last: a fan chord's product stays triangular until
-    then, and the pivot would fill its zero entries.
+
+class _Packing:
+    """The monomials of one product as packed ints.
+
+    The variables of the factors are numbered, and a monomial is the sum
+    of e_i << (bits * i) over its doubled exponents e_i, as signed digits.
+    A product of monomials is then a sum of ints as long as no digit
+    overflows, so ``bits`` is chosen wider than the sum over the factors
+    of their largest exponent, which bounds every exponent of a product.
     """
-    def times(a, b):  # a * b, where None stands for the identity
-        return a if b is None else b if a is None else a * b
 
-    head = group = prod = None
+    def __init__(self, factors):
+        index, bound = {}, 0
+        for polys in factors:
+            top = 0
+            for p in polys:
+                for m, _ in p.coefficients():
+                    for v, e in m.exponents():
+                        if v not in index:
+                            index[v] = len(index)
+                        if e > top or -e > top:
+                            top = abs(e)
+            bound += top
+        for bits, code in _DIGITS:
+            if bound < 1 << (bits - 1):
+                break
+        else:
+            raise ProductTooWide("exponents up to %d overflow a packed "
+                                 "digit" % bound)
+        self.shift = {v: bits * i for v, i in index.items()}
+        self.code, self.size = code, bits // 8 * len(index)
+        # 1 << (bits - 1) in every digit: a geometric series
+        self.bias = ((1 << (bits * len(index))) - 1) // ((1 << bits) - 1) \
+            << (bits - 1)
+        # in native order, to_bytes puts digit 0 last on a big-endian host
+        self.names = list(index)[::1 if byteorder == "little" else -1]
+
+    def pack(self, p):
+        """The (key, coefficient) pairs of a polynomial."""
+        shift = self.shift
+        return [(sum(e << shift[v] for v, e in m.exponents()), c)
+                for m, c in p.coefficients()]
+
+    def unpack(self, entry):
+        """The polynomial of a dict from key to nonzero coefficient.
+
+        Adding the bias makes every digit e_i + 2^(bits - 1), which lies
+        in [0, 2^bits); flipping the top bit of each digit back then
+        leaves e_i in two's complement, so the digits read as signed
+        ints, and the nonzero ones select their variables.
+        """
+        code, size, bias, names = self.code, self.size, self.bias, self.names
+        out = {}
+        for key, c in entry.items():
+            digits = array(code, ((key + bias) ^ bias).to_bytes(size,
+                                                                byteorder))
+            out[Mono._nonzero(dict(compress(zip(names, digits), digits)))] = c
+        return Poly._trusted(out)
+
+
+def _plus(x, y):
+    """The sum of two packed entries; neither is changed."""
+    if not x:
+        return y
+    if not y:
+        return x
+    out = {**x, **y}
+    for k in x.keys() & y.keys():
+        c = x[k] + y[k]
+        if c:
+            out[k] = c
+        else:
+            del out[k]
+    return out
+
+
+def _times(f, x):
+    """The product of the (key, coefficient) pairs ``f`` and the packed
+    entry ``x``."""
+    out = {}
+    for k1, c1 in f:
+        if c1 != 1:
+            part = {k + k1: c * c1 for k, c in x.items()}
+        else:
+            part = x if k1 == 0 else {k + k1: c for k, c in x.items()}
+        out = _plus(out, part)
+    return out
+
+
+def _packed_fold(steps, reduced, columns, scale=None):
+    """The given columns, each 0 or 1, of the product of a step sequence
+    on packed keys: the ``_Packing`` and a (top, bottom) pair of dicts
+    from key to coefficient per column.
+
+    Each twist and the steps after it up to the next twist are one
+    group, multiplied out as Mat2. The groups multiply, on the left, the
+    product of the steps before the first twist, or else the first
+    group. That start is multiplied by the polynomial ``scale`` when one
+    is given, because it has the fewest terms there.
+    """
+    head, groups = None, []
     for s in steps:
         m = step_matrix(s, reduced)
         if s.kind == TWIST:
-            prod, group = times(group, prod), m
-        elif group is not None:
-            group = m * group
+            groups.append(m)
+        elif groups:
+            groups[-1] = m * groups[-1]
         else:
-            head = times(m, head)
-    prod = times(group, prod)  # its own statement, so the old prod is freed
-    prod = times(prod, head)
-    return Mat2.identity() if prod is None else prod
+            head = m if head is None else m * head
+    if head is None:
+        head = groups.pop(0) if groups else Mat2.identity()
+    start = [((head.a, head.c), (head.b, head.d))[i] for i in columns]
+    if scale is not None:
+        start = [(scale * top, scale * bottom) for top, bottom in start]
+    packing = _Packing([[p for col in start for p in col]]
+                       + [(g.a, g.b, g.c, g.d) for g in groups])
+    pack = packing.pack
+    cols = [(dict(pack(top)), dict(pack(bottom))) for top, bottom in start]
+    for g in groups:
+        a, b, c, d = pack(g.a), pack(g.b), pack(g.c), pack(g.d)
+        cols = [(_plus(_times(a, x), _times(b, y)),
+                 _plus(_times(c, x), _times(d, y))) for x, y in cols]
+    return packing, cols
+
+
+def path_matrix(steps, reduced=False):
+    """Product of a step sequence; later steps multiply on the left.
+
+    The steps from each twist up to the next are multiplied out as Mat2
+    before they meet the accumulator, whose entries grow with the number
+    of tiles and are kept on packed keys (``_Packing``).
+    """
+    packing, ((a, c), (b, d)) = _packed_fold(steps, reduced, (0, 1))
+    return Mat2._trusted(*map(packing.unpack, (a, b, c, d)))
+
+
+def path_reading(steps, closed, reduced=False, scale=None):
+    """The trace of ``path_matrix(steps, reduced)`` when ``closed``, else
+    its upper-right entry, times the polynomial ``scale`` when given.
+
+    Only the entries read are turned back into polynomials, and an open
+    reading carries only the second column of the product.
+    """
+    if closed:
+        packing, ((a, _), (_, d)) = _packed_fold(steps, reduced, (0, 1),
+                                                 scale)
+        return packing.unpack(a) + packing.unpack(d)
+    packing, ((b, _),) = _packed_fold(steps, reduced, (1,), scale)
+    return packing.unpack(b)
 
 
 def _matchings_by_exhaustion(vertices, ends):
@@ -263,8 +401,13 @@ class SnakeGraph:
         for s in self.shapes:
             if s not in (NORTH, EAST):
                 raise SnakeError("bad shape %r" % (s,))
-        _check_labels(*self.diagonals, *self.glue_labels,
-                      corner_a, corner_b, corner_w, corner_z)
+        labels = (*self.diagonals, *self.glue_labels,
+                  corner_a, corner_b, corner_w, corner_z)
+        _check_labels(*labels)
+        for v in labels:
+            if v[0] not in ("x", "b"):
+                raise SnakeError("a graph's labels are of kind x or b, "
+                                 "not %s" % format_var(v))
         self._build()
 
     @property
@@ -276,6 +419,7 @@ class SnakeGraph:
         word = (NORTH,) + self.shapes
         # the turn rule: whether turn j is counterclockwise
         self._ccw = [word[j + 1] == word[j] for j in range(d - 1)]
+        self._curlies = tuple(map(_curly, self.diagonals))
         # whether tile j + 1 lies north of tile j, rather than east
         north = [ccw == (j % 2 == 0) for j, ccw in enumerate(self._ccw)]
         pos = [(0, 0)]
@@ -314,9 +458,9 @@ class SnakeGraph:
 
     # -- matchings ---------------------------------------------------------
 
-    def perfect_matchings(self, _heights=None):
+    def perfect_matchings(self, _rows=None):
         """All perfect matchings: the minimal one first, then by height
-        degree, height and sorted edges.
+        degree, height and, between equal heights, sorted edges.
 
         A matching is the minimal one with the four sides of each tile it
         encloses toggled. The enclosed sets are the 0/1 words on the tiles
@@ -324,35 +468,81 @@ class SnakeGraph:
         counterclockwise and (0, 1) where it is clockwise: the order
         ideals of a fence on the tiles. A depth-first walk over the
         tiles, with a stack rather than recursion, builds each matching
-        and its height once, and stores the height under the matching in
-        ``_heights`` when a dict is given.
+        and its height once. It carries the weight's exponents and hash
+        along, and stores (weight, height) under each matching in
+        ``_rows`` when a dict is given.
+
+        Toggling tile j adds two to the exponent of each side label not
+        in the matching and takes two from each one in it. Of those
+        sides, only the glue edge to tile j - 1 lies in another tile
+        enclosed before j, so the change is one of two monomials, with
+        tile j - 1 enclosed or not; backing up divides it out again.
         """
-        d, ccw, sides = self.d, self._ccw, self._sides
-        current, enclosed = set(self.minimal_matching()), []
-        heights = {} if _heights is None else _heights
+        d, ccw, sides, labels = self.d, self._ccw, self._sides, \
+            self.edge_labels
+        minimal = self.minimal_matching()
+
+        def change(j, after):
+            out = {}
+            for key in sides[j]:
+                taken = (key in minimal) != (after and key in sides[j - 1])
+                out[labels[key]] = out.get(labels[key], 0) + (
+                    -2 if taken else 2)
+            return Mono._trusted(out)
+
+        changes = [(change(j, False), change(j, j > 0)) for j in range(d)]
+        current, enclosed, applied = set(minimal), [], []
+        weight = self.weight_mono(minimal)
+        weight, weight_hash = dict(weight.exponents()), weight._hash
+        rows = {} if _rows is None else _rows
+
+        def apply(m, sign):
+            for v, e in m.exponents():
+                e = weight.get(v, 0) + sign * e
+                if e:
+                    weight[v] = e
+                else:
+                    del weight[v]
+            return sign * m._hash
+
         todo = [(0, True), (0, False)]  # (tile, enclosed) still to visit
         while todo:
             j, inside = todo.pop()
             while enclosed and enclosed[-1] >= j:  # back up to tile j
                 current.symmetric_difference_update(sides[enclosed.pop()])
+                weight_hash += apply(applied.pop(), -1)
             if inside:
+                m = changes[j][bool(enclosed) and enclosed[-1] == j - 1]
                 current.symmetric_difference_update(sides[j])
+                weight_hash += apply(m, 1)
                 enclosed.append(j)
+                applied.append(m)
             if j + 1 == d:
                 # a tuple, so that the frozenset gets a table of its own size
-                heights[frozenset(tuple(current))] = \
-                    self.height_mono(enclosed)
+                rows[frozenset(tuple(current))] = (
+                    Mono._hashed(weight.copy(), weight_hash),
+                    self.height_mono(enclosed))
             else:  # tile j + 1, skipping the pair this turn forbids
                 if inside or ccw[j]:
                     todo.append((j + 1, True))
                 if not (inside and ccw[j]):
                     todo.append((j + 1, False))
 
-        def order(m):
-            h = heights[m]
-            return (h.degree2(), h.items(), sorted(m))
+        # Heights hold only kind "Y", so the ranks of their variables,
+        # paired with exponents, sort as their items do.
+        rank = {v: i for i, v in enumerate(sorted(set(self._curlies)))}
 
-        return sorted(heights, key=order)
+        def order(height):
+            return height.degree2(), sorted([(rank[v], e)
+                                             for v, e in height.exponents()])
+
+        keyed = sorted([(order(h), m) for m, (_, h) in rows.items()],
+                       key=itemgetter(0))
+        out = []
+        for _, run in groupby(keyed, itemgetter(0)):
+            run = [m for _, m in run]
+            out += sorted(run, key=sorted) if len(run) > 1 else run
+        return out
 
     def matchings_by_exhaustion(self):
         """Independent oracle enumerator. Output order is by sorted edge
@@ -383,15 +573,14 @@ class SnakeGraph:
         """The height of the matching that encloses the given tiles,
         relative to the minimal one: the product of their diagonals'
         coefficient variables."""
-        return _monomial(_curly(self.diagonals[j]) for j in enclosed)
+        return _monomial(map(self._curlies.__getitem__, enclosed))
 
     def weighted_matchings(self):
         """(matching, weight, height) for every perfect matching, in the
         order of ``perfect_matchings``; the one source of matching
-        terms. Each height is the one the order was sorted by."""
-        heights = {}
-        return [(m, self.weight_mono(m), heights[m])
-                for m in self.perfect_matchings(heights)]
+        terms. Each weight and height is the one the walk built."""
+        rows = {}
+        return [(m, *rows[m]) for m in self.perfect_matchings(rows)]
 
     def crossing_mono(self):
         return _monomial(self.diagonals)
@@ -460,8 +649,8 @@ class SnakeGraph:
     def enumerator_by_matrices(self):
         """Crossing monomial times the upper-right entry of the product
         of the standard step sequence."""
-        return (Poly.from_mono(self.crossing_mono())
-                * path_matrix(self.steps()).upper_right())
+        return path_reading(self.steps(), False,
+                            scale=Poly.from_mono(self.crossing_mono()))
 
     def enumerator_by_matchings(self):
         return _matching_sum(self.weighted_matchings())
@@ -558,8 +747,8 @@ class BandGraph:
     def enumerator_by_matrices(self):
         """Crossing monomial times the trace of the product of the
         standard step sequence."""
-        return (Poly.from_mono(self.crossing_mono())
-                * path_matrix(self.steps()).trace())
+        return path_reading(self.steps(), True,
+                            scale=Poly.from_mono(self.crossing_mono()))
 
     def good_matchings_by_exhaustion(self):
         """Oracle: matchings of the identified graph, filtered directly.

@@ -362,6 +362,44 @@ class TestTrustedConstruction:
             summed[v] = summed.get(v, 0) + e
         self._same(Mono(da).mul(Mono(db)), summed)
 
+    @settings(max_examples=300)
+    @given(wide_dicts, wide_dicts, st.randoms())
+    def test_hash_is_the_sum_over_items_by_every_route(self, da, db, rnd):
+        # exponent * hash(variable) summed over the items, mod 2**64
+        summed = dict(da)
+        for v, e in db.items():
+            summed[v] = summed.get(v, 0) + e
+        items = [(v, e) for v, e in summed.items() if e]
+        want = sum(e * hash(v) for v, e in items) % 2 ** 64
+        rnd.shuffle(items)
+        shuffled = dict(items)
+        with_zeros = {**summed, ("b", "unused"): 0}
+        built = [
+            Mono(summed),
+            Mono(shuffled),
+            Mono(da).mul(Mono(db)),
+            Mono(db).mul(Mono(da)),
+            Mono({v: -e for v, e in summed.items()}).inverse(),
+            Mono._trusted(with_zeros),
+        ]
+        (parsed, _), = parse_poly(format_mono(built[0])).terms()
+        built.append(parsed)
+        for m in built:
+            assert m == built[0]
+            assert m.__hash__() == want
+            assert hash(m) == hash(built[0])
+        tagged = {("Y", v[1]): e for v, e in summed.items()}
+        untagged = {v: e for v, e in summed.items() if v[0] != "Y"}
+        joined = Mono(untagged)._mul_disjoint(Mono(tagged))
+        assert joined == Mono(untagged).mul(Mono(tagged))
+        assert hash(joined) == hash(Mono(untagged).mul(Mono(tagged)))
+
+    def test_hash_separates_degree_moved_between_variables(self):
+        # a hash summed from per-item tuple hashes gave these 7 values
+        monos = [Mono({("x", "a"): a, ("x", "b"): 20 - a})
+                 for a in range(-50, 50)]
+        assert len({hash(m) for m in monos}) == len(monos)
+
     @given(wide_monos)
     def test_mul_cancels_to_the_unit(self, m):
         self._same(m.mul(m.inverse()), {})

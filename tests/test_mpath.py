@@ -5,8 +5,10 @@ surface layer on every fixture, then each local adjustment is applied at
 every admissible position and the absolute readings are compared.
 """
 
+from array import array
+
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from snakegraphs.algebra import Mat2, Mono, Poly, parse_poly
 from snakegraphs.mpath import (
@@ -38,7 +40,13 @@ from snakegraphs.selftest import (
     fan_triangulation,
     ring_triangulation,
 )
-from snakegraphs.snakecore import step_matrix
+from snakegraphs.snakecore import (
+    _DIGITS,
+    ProductTooWide,
+    _Packing,
+    path_reading,
+    step_matrix,
+)
 from snakegraphs.surface import (
     Curve,
     Triangulation,
@@ -136,6 +144,15 @@ non_twists = st.one_of(
     st.builds(pivot, labels, st.sampled_from([1, -1])))
 
 
+# A scale shares variables with the steps and brings its own, with
+# exponents of either sign.
+scales = st.dictionaries(
+    st.dictionaries(st.sampled_from([("x", "a"), ("b", "c"), ("Y", "a"),
+                                     ("y", "d")]),
+                    st.integers(-5, 5), max_size=3).map(Mono),
+    st.integers(-3, 3), min_size=1, max_size=3).map(Poly)
+
+
 @st.composite
 def step_sequences(draw):
     """0-12 steps: up to four before the first twist, then an optional
@@ -153,6 +170,23 @@ class TestPathMatrix:
         assert path_matrix(steps, reduced) == flat_fold(steps, reduced)
 
     @settings(max_examples=150, deadline=None)
+    @given(step_sequences(), st.booleans(), st.one_of(st.none(), scales))
+    # terms of the accumulator meet on one monomial of the trace
+    @example([pivot(("x", "a"), -1),
+              shear(("x", "b"), ("x", "b"), ("b", "c"), CCW),
+              twist(("x", "b"), CW), pivot(("x", "a"), 1),
+              shear(("x", "b"), ("x", "a"), ("x", "a"), CW),
+              twist(("b", "c"), CCW), twist(("b", "c"), CW),
+              shear(("x", "a"), ("x", "b"), ("x", "a"), CW)], False, None)
+    def test_each_reading_is_its_entry_of_the_flat_fold(self, steps,
+                                                        reduced, scale):
+        flat = flat_fold(steps, reduced)
+        times = (lambda p: p) if scale is None else (lambda p: scale * p)
+        assert path_reading(steps, False, reduced, scale) == times(flat.b)
+        assert (path_reading(steps, True, reduced, scale)
+                == times(flat.trace()))
+
+    @settings(max_examples=150, deadline=None)
     @given(step_sequences())
     def test_inverted_steps_invert_the_reduced_product(self, steps):
         assert (path_matrix(invert_steps(steps), True)
@@ -162,6 +196,42 @@ class TestPathMatrix:
     @given(step_sequences())
     def test_text_form_reads_back(self, steps):
         assert parse_steps(format_steps(steps)) == steps
+
+
+class TestPackedDigits:
+    """Packed keys hold each exponent in a signed digit; a product whose
+    exponents would overflow it gets wider digits, never wrong terms."""
+
+    def test_typecodes_read_their_width(self):
+        for bits, code in _DIGITS:
+            assert array(code).itemsize * 8 == bits
+            assert array(code, [-(1 << (bits - 1))])[0] < 0
+
+    @pytest.mark.parametrize("n,reduced", [
+        (16383, False), (16384, False), (32767, True), (32768, True)])
+    def test_long_twist_runs_read_exactly(self, n, reduced):
+        # an unreduced clockwise twist is diag(1, Y), reduced
+        # diag(Y^(-1/2), Y^(1/2)): n of them reach doubled exponents 2n,
+        # or -n and n, and the second of each pair overflows 16 bits
+        y = ("Y", "a")
+        steps = [twist(("x", "a"), CW)] * n
+        lo, hi = (-n, n) if reduced else (0, 2 * n)
+        top, bottom = Poly.from_mono(Mono({y: lo})), Poly.from_mono(
+            Mono({y: hi}))
+        assert path_matrix(steps, reduced) == Mat2(top, 0, 0, bottom)
+        assert path_reading(steps, True, reduced) == top + bottom
+
+    @pytest.mark.parametrize("e", [(1 << 15) - 1, 1 << 15, 1 << 31,
+                                   -(1 << 40), (1 << 63) - 1])
+    def test_keys_read_back_at_every_width(self, e):
+        p = Poly({Mono({("x", "a"): e, ("b", "c"): -1}): 2,
+                  Mono({("x", "a"): 1}): -1, Mono(): 5})
+        packing = _Packing([[p]])
+        assert packing.unpack(dict(packing.pack(p))) == p
+
+    def test_exponents_past_64_bits_are_refused(self):
+        with pytest.raises(ProductTooWide):
+            _Packing([[Poly.of_var("x", "a", 1 << 63)]])
 
 
 class TestWorkCounts:

@@ -22,6 +22,7 @@ from snakegraphs.algebra import (
     format_poly,
     parse_poly,
 )
+from snakegraphs import snakecore
 from snakegraphs.snakecore import (
     CW,
     EAST,
@@ -29,6 +30,7 @@ from snakegraphs.snakecore import (
     BandGraph,
     DegenerateBand,
     LengthMismatch,
+    SnakeError,
     SnakeGraph,
     _curly,
     _matching_sum,
@@ -119,6 +121,18 @@ class TestLabelsCheckedWhereTheyEnter:
             args[role][-1] = BAD
         with pytest.raises(AlgebraError):
             BandGraph(diagonals, args["shapes"], glues, cut)
+
+    @pytest.mark.parametrize("kind", ["Y", "y"])
+    def test_graphs_refuse_coefficient_kinds(self, kind):
+        # a weight holds edge labels and a height per-tile "Y" variables;
+        # the matching sum joins the two as disjoint
+        args = snake_args()
+        args["glue_labels"][0] = (kind, "i1")
+        with pytest.raises(SnakeError):
+            SnakeGraph(**args)
+        with pytest.raises(SnakeError):
+            BandGraph(args["diagonals"], args["shapes"],
+                      args["glue_labels"], bv("c"))
 
     @pytest.mark.parametrize("make", [
         lambda: shear(BAD, xv("t"), xv("s"), CW),
@@ -377,6 +391,30 @@ class TestFenceWalk:
         for m, _, height in rows:
             assert height == ray_cast_height(g, m, minimal)
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_carried_rows_are_the_rebuilt_ones_in_order(self, data):
+        # the weight carried down the walk against the one rebuilt from
+        # the edges, and the order against the key it replaced
+        d = data.draw(st.integers(1, 11))
+        shapes = data.draw(st.lists(st.sampled_from((NORTH, EAST)),
+                                    min_size=d - 1, max_size=d - 1))
+        label = st.sampled_from(("0", "1", "10", "2"))
+        g = SnakeGraph(
+            [xv("i" + data.draw(label)) for _ in range(d)], shapes,
+            [data.draw(st.sampled_from((xv, bv)))("i" + data.draw(label))
+             for _ in range(d - 1)],
+            bv("a"), bv(data.draw(st.sampled_from("ab"))), bv("w"),
+            bv(data.draw(st.sampled_from("awz"))))
+        rows = g.weighted_matchings()
+        for m, w, h in rows:
+            assert w == g.weight_mono(m)
+            assert hash(w) == hash(g.weight_mono(m))
+        assert rows == sorted(rows, key=lambda r: (r[2].degree2(),
+                                                   r[2].items(),
+                                                   sorted(r[0])))
+        assert [m for m, _, _ in rows] == g.perfect_matchings()
+
     def test_walk_keeps_its_own_stack(self):
         # a curve may cross more arcs than the interpreter's recursion
         # limit allows frames; the walk must not need one frame per tile
@@ -560,6 +598,28 @@ class TestBand:
                  [g.good_matchings_by_exhaustion() for g in bands])
         assert after == before
         assert all(before[0]) and all(before[1])
+
+    def test_matching_route_does_not_use_the_packed_kernel(
+            self, monkeypatch):
+        # the two routes cross-check each other only while they share no
+        # product code
+        rng = random.Random(19)
+        graphs = [random_snake(rng, max_d=9)[0] for _ in range(10)] + [
+            BandGraph([xv("i%d" % (j + 1)) for j in range(d)],
+                      [rng.choice([NORTH, EAST]) for _ in range(d - 1)],
+                      [xv("g%d" % (j + 1)) for j in range(d - 1)], bv("c"))
+            for d in (2, 3, 5, 8)]
+        before = [g.enumerator_by_matchings() for g in graphs]
+        assert before == [g.enumerator_by_matrices() for g in graphs]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the matching route used the packed kernel")
+
+        monkeypatch.setattr(snakecore, "_packed_fold", refuse)
+        with pytest.raises(AssertionError):
+            graphs[0].enumerator_by_matrices()
+        assert [g.enumerator_by_matchings() for g in graphs] == before
+        assert [g.corner_partition_sums() for g in graphs[:10]]
 
 
 class TestDot:
