@@ -252,7 +252,7 @@ class Poly:
     render to identical text.
     """
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_terms",)
 
     def __init__(self, terms=()):
         d = {}
@@ -265,7 +265,6 @@ class Poly:
             if c:
                 d[m] = c
         self._terms = d
-        self._hash = None
 
     @classmethod
     def _trusted(cls, d):
@@ -276,7 +275,6 @@ class Poly:
             d = {m: c for m, c in d.items() if c}
         p = cls.__new__(cls)
         p._terms = d
-        p._hash = None
         return p
 
     @classmethod
@@ -374,9 +372,7 @@ class Poly:
         return isinstance(other, Poly) and self._terms == other._terms
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(frozenset(self._terms.items()))
-        return self._hash
+        return hash(frozenset(self._terms.items()))
 
     def __repr__(self):
         return "Poly(%s)" % format_poly(self)

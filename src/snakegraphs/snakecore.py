@@ -89,11 +89,12 @@ def _check_labels(*labels):
 
 def _monomial(vids):
     """The product of the given variables, which were checked where they
-    entered; a repeated variable is raised to its multiplicity."""
+    entered; a repeated variable is raised to its multiplicity, so no
+    exponent is zero."""
     d = {}
     for v in vids:
         d[v] = d.get(v, 0) + 2
-    return Mono._trusted(d)
+    return Mono._nonzero(d)
 
 
 def _matching_sum(rows):
@@ -467,61 +468,25 @@ class SnakeGraph:
         that avoid (1, 0) where the turn into the next tile is
         counterclockwise and (0, 1) where it is clockwise: the order
         ideals of a fence on the tiles. A depth-first walk over the
-        tiles, with a stack rather than recursion, builds each matching
-        and its height once. It carries the weight's exponents and hash
-        along, and stores (weight, height) under each matching in
-        ``_rows`` when a dict is given.
-
-        Toggling tile j adds two to the exponent of each side label not
-        in the matching and takes two from each one in it. Of those
-        sides, only the glue edge to tile j - 1 lies in another tile
-        enclosed before j, so the change is one of two monomials, with
-        tile j - 1 enclosed or not; backing up divides it out again.
+        tiles, with a stack rather than recursion, builds each matching,
+        its weight and its height once, and stores (weight, height) under
+        the matching in ``_rows`` when a dict is given.
         """
-        d, ccw, sides, labels = self.d, self._ccw, self._sides, \
-            self.edge_labels
-        minimal = self.minimal_matching()
-
-        def change(j, after):
-            out = {}
-            for key in sides[j]:
-                taken = (key in minimal) != (after and key in sides[j - 1])
-                out[labels[key]] = out.get(labels[key], 0) + (
-                    -2 if taken else 2)
-            return Mono._trusted(out)
-
-        changes = [(change(j, False), change(j, j > 0)) for j in range(d)]
-        current, enclosed, applied = set(minimal), [], []
-        weight = self.weight_mono(minimal)
-        weight, weight_hash = dict(weight.exponents()), weight._hash
+        d, ccw, sides = self.d, self._ccw, self._sides
+        current, enclosed = set(self.minimal_matching()), []
         rows = {} if _rows is None else _rows
-
-        def apply(m, sign):
-            for v, e in m.exponents():
-                e = weight.get(v, 0) + sign * e
-                if e:
-                    weight[v] = e
-                else:
-                    del weight[v]
-            return sign * m._hash
-
         todo = [(0, True), (0, False)]  # (tile, enclosed) still to visit
         while todo:
             j, inside = todo.pop()
             while enclosed and enclosed[-1] >= j:  # back up to tile j
                 current.symmetric_difference_update(sides[enclosed.pop()])
-                weight_hash += apply(applied.pop(), -1)
             if inside:
-                m = changes[j][bool(enclosed) and enclosed[-1] == j - 1]
                 current.symmetric_difference_update(sides[j])
-                weight_hash += apply(m, 1)
                 enclosed.append(j)
-                applied.append(m)
             if j + 1 == d:
                 # a tuple, so that the frozenset gets a table of its own size
-                rows[frozenset(tuple(current))] = (
-                    Mono._hashed(weight.copy(), weight_hash),
-                    self.height_mono(enclosed))
+                m = frozenset(tuple(current))
+                rows[m] = (self.weight_mono(m), self.height_mono(enclosed))
             else:  # tile j + 1, skipping the pair this turn forbids
                 if inside or ccw[j]:
                     todo.append((j + 1, True))
@@ -567,7 +532,7 @@ class SnakeGraph:
         return frozenset(out)
 
     def weight_mono(self, matching):
-        return _monomial(self.edge_labels[key] for key in matching)
+        return _monomial(map(self.edge_labels.__getitem__, matching))
 
     def height_mono(self, enclosed):
         """The height of the matching that encloses the given tiles,

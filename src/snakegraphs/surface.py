@@ -361,32 +361,22 @@ def _turn_and_glue(tri, idx, prev_cross, next_cross):
         % (prev_cross, next_cross, idx))
 
 
-def _first_corners(tri, idx, first_cross):
+def _end_corners(tri, idx, cross, last):
+    """The corner labels at one end of an arc that crosses ``cross`` in
+    triangle ``idx``: (a, b) at the first end, (w, z) at the last. Only
+    a self-folded triangle crossed at its radius tells the ends apart,
+    by swapping the pair."""
     sf = tri.self_folded_record(idx)
     if sf is not None:
-        if first_cross == sf["noose"]:
+        if cross == sf["noose"]:
             return sf["radius"], sf["radius"]
-        if first_cross == sf["radius"]:
-            return sf["radius"], sf["noose"]
+        if cross == sf["radius"]:
+            pair = sf["radius"], sf["noose"]
+            return pair[::-1] if last else pair
         raise NonAdjacentCrossings(
             "crossing %r does not fit self-folded triangle %d"
-            % (first_cross, idx))
-    return (tri.cw_successor(idx, first_cross),
-            tri.cw_predecessor(idx, first_cross))
-
-
-def _last_corners(tri, idx, last_cross):
-    sf = tri.self_folded_record(idx)
-    if sf is not None:
-        if last_cross == sf["noose"]:
-            return sf["radius"], sf["radius"]
-        if last_cross == sf["radius"]:
-            return sf["noose"], sf["radius"]
-        raise NonAdjacentCrossings(
-            "crossing %r does not fit self-folded triangle %d"
-            % (last_cross, idx))
-    return (tri.cw_successor(idx, last_cross),
-            tri.cw_predecessor(idx, last_cross))
+            % (cross, idx))
+    return tri.cw_successor(idx, cross), tri.cw_predecessor(idx, cross)
 
 
 def _triangle_sides(tri, idx):
@@ -430,8 +420,8 @@ def arc_layout(tri, curve):
         raise NonAdjacentCrossings(
             "crossing sequence ends in triangle %d, not %d"
             % (chain[-1], curve.end_triangle))
-    a, b = _first_corners(tri, chain[0], crossings[0])
-    w, z = _last_corners(tri, chain[-1], crossings[-1])
+    a, b = _end_corners(tri, chain[0], crossings[0], last=False)
+    w, z = _end_corners(tri, chain[-1], crossings[-1], last=True)
     return Layout(shape_word(turns), glues, list(crossings),
                   corner_a=a, corner_b=b, corner_w=w, corner_z=z)
 
@@ -481,24 +471,6 @@ def loop_layout(tri, curve):
     return Layout(shape_word(turns), glues, list(crossings), cut=cut)
 
 
-def build_snake_graph(tri, curve):
-    lay = arc_layout(tri, curve)
-    v = tri.variable
-    return SnakeGraph(
-        [v(c) for c in lay.diagonals], lay.shapes,
-        [v(g) for g in lay.glues],
-        corner_a=v(lay.corner_a), corner_b=v(lay.corner_b),
-        corner_w=v(lay.corner_w), corner_z=v(lay.corner_z))
-
-
-def build_band_graph(tri, curve):
-    lay = loop_layout(tri, curve)
-    v = tri.variable
-    return BandGraph(
-        [v(c) for c in lay.diagonals], lay.shapes,
-        [v(g) for g in lay.glues], cut_label=v(lay.cut))
-
-
 def graph_for(tri, curve):
     """The snake graph of an arc or the band graph of a loop; other
     kinds have neither."""
@@ -506,9 +478,17 @@ def graph_for(tri, curve):
         raise ValidationError(
             "curve %r of kind %r has no snake or band graph"
             % (curve.name or "?", curve.kind))
+    v = tri.variable
     if curve.kind == "arc":
-        return build_snake_graph(tri, curve)
-    return build_band_graph(tri, curve)
+        lay = arc_layout(tri, curve)
+        return SnakeGraph(
+            [v(c) for c in lay.diagonals], lay.shapes,
+            [v(g) for g in lay.glues],
+            corner_a=v(lay.corner_a), corner_b=v(lay.corner_b),
+            corner_w=v(lay.corner_w), corner_z=v(lay.corner_z))
+    lay = loop_layout(tri, curve)
+    return BandGraph([v(c) for c in lay.diagonals], lay.shapes,
+                     [v(g) for g in lay.glues], cut_label=v(lay.cut))
 
 
 # -- expansion -------------------------------------------------------------

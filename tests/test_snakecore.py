@@ -39,6 +39,8 @@ from snakegraphs.snakecore import (
     shear,
     twist,
 )
+from snakegraphs.selftest import fan_chord, fan_triangulation
+from snakegraphs.surface import graph_for
 
 
 def xv(lbl):
@@ -168,14 +170,19 @@ class TestWorkCounts:
         monkeypatch.setattr(owner, name, counting)
 
     def test_one_height_per_matching_one_minimal(self, monkeypatch):
-        g = neen_snake()
+        # one weight and one height built per matching, on the snake with
+        # the most matchings per tile and on a long chord with the fewest
         calls = []
-        self._count(monkeypatch, SnakeGraph, "height_mono", calls)
-        self._count(monkeypatch, SnakeGraph, "minimal_matching", calls)
-        rows = g.weighted_matchings()
-        assert len(rows) == 987
-        assert calls.count("height_mono") == 987
-        assert calls.count("minimal_matching") == 1
+        for name in ("weight_mono", "height_mono", "minimal_matching"):
+            self._count(monkeypatch, SnakeGraph, name, calls)
+        chord = graph_for(fan_triangulation(300), fan_chord(300, 1, 299))
+        for g, count in ((neen_snake(), 987), (chord, 298)):
+            calls.clear()
+            rows = g.weighted_matchings()
+            assert len(rows) == count
+            assert calls.count("weight_mono") == count
+            assert calls.count("height_mono") == count
+            assert calls.count("minimal_matching") == 1
 
     def test_validated_monomials_grow_with_tiles(self, monkeypatch):
         g = neen_snake()

@@ -30,7 +30,6 @@ from snakegraphs.surface import (
     UnsupportedSelfFoldedSelfIntersection,
     ValidationError,
     arc_layout,
-    build_band_graph,
     coefficient_map,
     expand,
     expand_by_matrices,
@@ -523,7 +522,7 @@ class TestCoefficientMap:
 
 class TestGraphBuilders:
     def test_band_graph_labels(self):
-        g = build_band_graph(annulus(), Curve(
+        g = graph_for(annulus(), Curve(
             "loop", crossings=["1", "2", "3", "4"], basepoint_triangle=3))
         assert g.cut_label == ("b", "b2")
         assert g.base.diagonals == (("x", "1"), ("x", "2"),
