@@ -90,11 +90,12 @@ def _check_labels(*labels):
 def _monomial(vids):
     """The product of the given variables, which were checked where they
     entered; a repeated variable is raised to its multiplicity, so no
-    exponent is zero."""
-    d = {}
+    exponent is zero. The hash is summed in the same loop."""
+    d, h = {}, 0
     for v in vids:
         d[v] = d.get(v, 0) + 2
-    return Mono._nonzero(d)
+        h += hash(v)
+    return Mono._hashed(d, 2 * h)
 
 
 def _matching_sum(rows):
@@ -190,136 +191,154 @@ _DIGITS = ((16, "h"), (32, "i"), (64, "q"))
 class _Packing:
     """The monomials of one product as packed ints.
 
-    The variables of the factors are numbered, and a monomial is the sum
-    of e_i << (bits * i) over its doubled exponents e_i, as signed digits.
-    A product of monomials is then a sum of ints as long as no digit
+    The variables of the factors and of the steps are numbered, and a
+    variable's unit key is (1 << (bits * i)) + (hash(v) << top), where
+    ``top`` is the width of the numbered digits. A monomial's key is the
+    sum of its doubled exponents e_i times the units, so its low ``top``
+    bits hold the e_i as signed digits and the bits above hold its hash,
+    which is linear in the exponents too (``algebra._hash_of``). A
+    product of monomials is then a sum of keys as long as no digit
     overflows, so ``bits`` is chosen wider than the sum over the factors
-    of their largest exponent, which bounds every exponent of a product.
+    of their largest exponent: the polynomials of each group in
+    ``factors``, then 2 for each twist or pivot in ``steps`` and 4 for
+    each shear, whose labels may coincide.
     """
 
-    def __init__(self, factors):
+    def __init__(self, factors, steps=()):
         index, bound = {}, 0
         for polys in factors:
-            top = 0
+            most = 0
             for p in polys:
                 for m, _ in p.coefficients():
                     for v, e in m.exponents():
-                        if v not in index:
-                            index[v] = len(index)
-                        if e > top or -e > top:
-                            top = abs(e)
-            bound += top
+                        index.setdefault(v, len(index))
+                        if e > most or -e > most:
+                            most = abs(e)
+            bound += most
+        for s in steps:
+            if s.kind == SHEAR:
+                labels, most = (s.sigma, s.tau, s.tau_prime), 4
+            else:
+                labels = (_curly(s.tau) if s.kind == TWIST else s.tau,)
+                most = 2
+            for v in labels:
+                index.setdefault(v, len(index))
+            bound += most
         for bits, code in _DIGITS:
             if bound < 1 << (bits - 1):
                 break
         else:
             raise ProductTooWide("exponents up to %d overflow a packed "
                                  "digit" % bound)
-        self.shift = {v: bits * i for v, i in index.items()}
-        self.code, self.size = code, bits // 8 * len(index)
+        top = bits * len(index)
+        self.unit = {v: (1 << (bits * i)) + (hash(v) << top)
+                     for v, i in index.items()}
+        self.code, self.size, self.top = code, bits // 8 * len(index), top
         # 1 << (bits - 1) in every digit: a geometric series
-        self.bias = ((1 << (bits * len(index))) - 1) // ((1 << bits) - 1) \
-            << (bits - 1)
+        self.bias = ((1 << top) - 1) // ((1 << bits) - 1) << (bits - 1)
         # in native order, to_bytes puts digit 0 last on a big-endian host
         self.names = list(index)[::1 if byteorder == "little" else -1]
 
     def pack(self, p):
         """The (key, coefficient) pairs of a polynomial."""
-        shift = self.shift
-        return [(sum(e << shift[v] for v, e in m.exponents()), c)
+        unit = self.unit
+        return [(sum(e * unit[v] for v, e in m.exponents()), c)
                 for m, c in p.coefficients()]
 
     def unpack(self, entry):
         """The polynomial of a dict from key to nonzero coefficient.
 
         Adding the bias makes every digit e_i + 2^(bits - 1), which lies
-        in [0, 2^bits); flipping the top bit of each digit back then
-        leaves e_i in two's complement, so the digits read as signed
-        ints, and the nonzero ones select their variables.
+        in [0, 2^bits), and leaves the hash above bit ``top``. Flipping
+        the top bit of each digit back then leaves e_i in two's
+        complement, so the digits read as signed ints, and the nonzero
+        ones select their variables.
         """
         code, size, bias, names = self.code, self.size, self.bias, self.names
+        top, low = self.top, (1 << self.top) - 1
         out = {}
         for key, c in entry.items():
-            digits = array(code, ((key + bias) ^ bias).to_bytes(size,
+            key += bias
+            digits = array(code, ((key ^ bias) & low).to_bytes(size,
                                                                 byteorder))
-            out[Mono._nonzero(dict(compress(zip(names, digits), digits)))] = c
+            out[Mono._hashed(dict(compress(zip(names, digits), digits)),
+                             key >> top)] = c
         return Poly._trusted(out)
-
-
-def _plus(x, y):
-    """The sum of two packed entries; neither is changed."""
-    if not x:
-        return y
-    if not y:
-        return x
-    out = {**x, **y}
-    for k in x.keys() & y.keys():
-        c = x[k] + y[k]
-        if c:
-            out[k] = c
-        else:
-            del out[k]
-    return out
-
-
-def _times(f, x):
-    """The product of the (key, coefficient) pairs ``f`` and the packed
-    entry ``x``."""
-    out = {}
-    for k1, c1 in f:
-        if c1 != 1:
-            part = {k + k1: c * c1 for k, c in x.items()}
-        else:
-            part = x if k1 == 0 else {k + k1: c for k, c in x.items()}
-        out = _plus(out, part)
-    return out
 
 
 def _packed_fold(steps, reduced, columns, scale=None):
     """The given columns, each 0 or 1, of the product of a step sequence
-    on packed keys: the ``_Packing`` and a (top, bottom) pair of dicts
-    from key to coefficient per column.
+    on packed keys: a (top, bottom) pair of entries per column, and the
+    function that reads an entry back as a polynomial. An entry is an
+    [entry dict, offset, sign] list that stands for the dict from key +
+    offset to sign * coefficient.
 
-    Each twist and the steps after it up to the next twist are one
-    group, multiplied out as Mat2. The groups multiply, on the left, the
-    product of the steps before the first twist, or else the first
-    group. That start is multiplied by the polynomial ``scale`` when one
-    is given, because it has the fewest terms there.
+    The steps before the first twist are multiplied out as Mat2, times
+    the polynomial ``scale`` when one is given, because that start has
+    the fewest terms; a sequence that opens with a twist starts from the
+    identity. Every later step is one monomial per entry: a twist moves
+    both offsets, a pivot swaps the entries, moves their offsets and
+    signs them, and a shear adds its top entry into its bottom one in
+    place. No entry dict is shared, so none is copied.
     """
-    head, groups = None, []
-    for s in steps:
+    steps = list(steps)
+    first = next((i for i, s in enumerate(steps) if s.kind == TWIST),
+                 len(steps))
+    head = None
+    for s in steps[:first]:
         m = step_matrix(s, reduced)
-        if s.kind == TWIST:
-            groups.append(m)
-        elif groups:
-            groups[-1] = m * groups[-1]
-        else:
-            head = m if head is None else m * head
+        head = m if head is None else m * head
     if head is None:
-        head = groups.pop(0) if groups else Mat2.identity()
+        head = Mat2.identity()
     start = [((head.a, head.c), (head.b, head.d))[i] for i in columns]
     if scale is not None:
         start = [(scale * top, scale * bottom) for top, bottom in start]
-    packing = _Packing([[p for col in start for p in col]]
-                       + [(g.a, g.b, g.c, g.d) for g in groups])
-    pack = packing.pack
-    cols = [(dict(pack(top)), dict(pack(bottom))) for top, bottom in start]
-    for g in groups:
-        a, b, c, d = pack(g.a), pack(g.b), pack(g.c), pack(g.d)
-        cols = [(_plus(_times(a, x), _times(b, y)),
-                 _plus(_times(c, x), _times(d, y))) for x, y in cols]
-    return packing, cols
+    rest = steps[first:]
+    packing = _Packing([[p for col in start for p in col]], rest)
+    pack, unit, half = packing.pack, packing.unit, 0 if reduced else 1
+    cols = [[dict(pack(top)), 0, 1, dict(pack(bottom)), 0, 1]
+            for top, bottom in start]
+    for s in rest:
+        m = s.mode
+        if s.kind == TWIST:
+            y = unit[_curly(s.tau)]
+            up, down = (half - m) * y, (half + m) * y
+            for col in cols:
+                col[1] += up
+                col[4] += down
+        elif s.kind == PIVOT:
+            t = 2 * unit[s.tau]
+            for col in cols:
+                top, toff, tsign, bottom, boff, bsign = col
+                col[:] = bottom, boff + t, m * bsign, top, toff - t, -m * tsign
+        else:
+            x = 2 * (unit[s.sigma] - unit[s.tau] - unit[s.tau_prime])
+            for top, toff, tsign, bottom, boff, bsign in cols:
+                shift, f = toff + x - boff, m * tsign * bsign
+                get = bottom.get
+                for k, c in top.items():
+                    k += shift
+                    c = get(k, 0) + f * c
+                    if c:
+                        bottom[k] = c
+                    else:
+                        del bottom[k]
+
+    def read(entry):
+        d, offset, sign = entry
+        return packing.unpack({k + offset: sign * c for k, c in d.items()})
+
+    return read, [(col[:3], col[3:]) for col in cols]
 
 
 def path_matrix(steps, reduced=False):
     """Product of a step sequence; later steps multiply on the left.
 
-    The steps from each twist up to the next are multiplied out as Mat2
-    before they meet the accumulator, whose entries grow with the number
-    of tiles and are kept on packed keys (``_Packing``).
+    The steps after the first twist act on packed keys, one monomial per
+    entry (``_packed_fold``).
     """
-    packing, ((a, c), (b, d)) = _packed_fold(steps, reduced, (0, 1))
-    return Mat2._trusted(*map(packing.unpack, (a, b, c, d)))
+    read, ((a, c), (b, d)) = _packed_fold(steps, reduced, (0, 1))
+    return Mat2._trusted(*map(read, (a, b, c, d)))
 
 
 def path_reading(steps, closed, reduced=False, scale=None):
@@ -330,11 +349,10 @@ def path_reading(steps, closed, reduced=False, scale=None):
     reading carries only the second column of the product.
     """
     if closed:
-        packing, ((a, _), (_, d)) = _packed_fold(steps, reduced, (0, 1),
-                                                 scale)
-        return packing.unpack(a) + packing.unpack(d)
-    packing, ((b, _),) = _packed_fold(steps, reduced, (1,), scale)
-    return packing.unpack(b)
+        read, ((a, _), (_, d)) = _packed_fold(steps, reduced, (0, 1), scale)
+        return read(a) + read(d)
+    read, ((b, _),) = _packed_fold(steps, reduced, (1,), scale)
+    return read(b)
 
 
 def _matchings_by_exhaustion(vertices, ends):

@@ -10,7 +10,7 @@ from array import array
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from snakegraphs.algebra import Mat2, Mono, Poly, parse_poly
+from snakegraphs.algebra import Mat2, Mono, Poly, _hash_of, parse_poly
 from snakegraphs.mpath import (
     CCW,
     CW,
@@ -138,10 +138,6 @@ def flat_fold(steps, reduced):
 
 labels = st.sampled_from([("x", "a"), ("x", "b"), ("b", "c")])
 directions = st.sampled_from([CW, CCW])
-twists = st.builds(twist, labels, directions)
-non_twists = st.one_of(
-    st.builds(shear, labels, labels, labels, directions),
-    st.builds(pivot, labels, st.sampled_from([1, -1])))
 
 
 # A scale shares variables with the steps and brings its own, with
@@ -154,13 +150,36 @@ scales = st.dictionaries(
 
 
 @st.composite
-def step_sequences(draw):
+def step_sequences(draw, labels=labels):
     """0-12 steps: up to four before the first twist, then an optional
     twist and up to seven steps of any kind."""
+    twists = st.builds(twist, labels, directions)
+    non_twists = st.one_of(
+        st.builds(shear, labels, labels, labels, directions),
+        st.builds(lambda v, mode: shear(v, v, v, mode), labels, directions),
+        st.builds(pivot, labels, st.sampled_from([1, -1])))
     lead = draw(st.lists(non_twists, max_size=4))
     first = draw(st.lists(twists, max_size=1))
     rest = draw(st.lists(st.one_of(twists, non_twists), max_size=7))
     return lead + first + rest
+
+
+def assert_hash_is_exact(m):
+    """The monomial's stored hash is the one its exponents define, and
+    hash() agrees with the validating constructor's (hash() reduces a
+    stored value past sys.maxsize, so the two are compared separately)."""
+    assert m._hash == _hash_of(m._exps)
+    assert hash(m) == hash(Mono(m._exps))
+
+
+def signed_hash_labels():
+    """Two variables whose hash() is negative and one whose hash() is
+    positive, found by scanning, since string hashes follow the seed."""
+    found = {True: [], False: []}
+    for j in range(1000):
+        v = ("x", "h%d" % j)
+        found[hash(v) < 0].append(v)
+    return found[True][:2] + found[False][:1] + [("b", "c")]
 
 
 class TestPathMatrix:
@@ -229,9 +248,45 @@ class TestPackedDigits:
         packing = _Packing([[p]])
         assert packing.unpack(dict(packing.pack(p))) == p
 
+    @pytest.mark.parametrize("e", [(1 << 15) - 1, -((1 << 15) - 1),
+                                   1 << 15])
+    def test_hash_digit_reads_back_at_the_digit_edges(self, e):
+        # 2^15 - 1 is the widest exponent a 16-bit digit holds, and 2^15
+        # the narrowest that widens it; the hash rides above the digits
+        v, w, u = signed_hash_labels()[:3]
+        p = Poly({Mono({v: e, w: -e}): 2, Mono({w: e, u: 1}): -1,
+                  Mono({u: -e}): 3, Mono(): 5})
+        packing = _Packing([[p]])
+        back = packing.unpack(dict(packing.pack(p)))
+        assert back == p
+        for m, _ in back.coefficients():
+            assert_hash_is_exact(m)
+
     def test_exponents_past_64_bits_are_refused(self):
         with pytest.raises(ProductTooWide):
             _Packing([[Poly.of_var("x", "a", 1 << 63)]])
+
+
+class TestHashDigit:
+    """Every monomial the kernel decodes takes its hash from the bits of
+    its key above the exponent digits; that hash must be the one its
+    exponents define."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(step_sequences(st.sampled_from(signed_hash_labels())),
+           st.booleans(), st.one_of(st.none(), scales))
+    def test_decoded_hashes_are_exact(self, steps, reduced, scale):
+        m = path_matrix(steps, reduced)
+        polys = [m.a, m.b, m.c, m.d] + [
+            path_reading(steps, closed, reduced, scale)
+            for closed in (False, True)]
+        for p in polys:
+            for mono, _ in p.coefficients():
+                assert_hash_is_exact(mono)
+
+    def test_labels_cover_both_signs(self):
+        signs = [hash(v) < 0 for v in signed_hash_labels()[:3]]
+        assert signs == [True, True, False]
 
 
 class TestWorkCounts:
@@ -244,15 +299,17 @@ class TestWorkCounts:
     def test_m_path_reading_multiplies_no_more_than_the_graph_route(
             self, monkeypatch, tri, curve):
         # both readings multiply the same steps; the graph route also
-        # multiplies by the crossing monomial
+        # multiplies by the crossing monomial. Every monomial either
+        # reading builds, a product or a decoded term, goes through
+        # Mono._hashed; a loop's M-path reading makes no Mono.mul at all
         calls = []
-        mul = Mono.mul
+        hashed = Mono._hashed.__func__
 
-        def counting(self, other):
+        def counting(cls, d, h):
             calls.append(1)
-            return mul(self, other)
+            return hashed(cls, d, h)
 
-        monkeypatch.setattr(Mono, "mul", counting)
+        monkeypatch.setattr(Mono, "_hashed", classmethod(counting))
         chi_hat(path_for_curve(tri, curve))
         by_path = len(calls)
         del calls[:]

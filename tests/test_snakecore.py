@@ -11,6 +11,7 @@ import inspect
 import itertools
 import random
 import sys
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -401,8 +402,9 @@ class TestFenceWalk:
     @settings(max_examples=40, deadline=None)
     @given(st.data())
     def test_carried_rows_are_the_rebuilt_ones_in_order(self, data):
-        # the weight carried down the walk against the one rebuilt from
-        # the edges, and the order against the key it replaced
+        # the walk's weight against one counted from the edges by a plain
+        # Counter and the validating constructor, and the order against
+        # the key it replaced
         d = data.draw(st.integers(1, 11))
         shapes = data.draw(st.lists(st.sampled_from((NORTH, EAST)),
                                     min_size=d - 1, max_size=d - 1))
@@ -415,8 +417,10 @@ class TestFenceWalk:
             bv(data.draw(st.sampled_from("awz"))))
         rows = g.weighted_matchings()
         for m, w, h in rows:
-            assert w == g.weight_mono(m)
-            assert hash(w) == hash(g.weight_mono(m))
+            counted = Counter(g.edge_labels[e] for e in m)
+            expected = Mono({v: 2 * n for v, n in counted.items()})
+            assert w == expected
+            assert hash(w) == hash(expected)
         assert rows == sorted(rows, key=lambda r: (r[2].degree2(),
                                                    r[2].items(),
                                                    sorted(r[0])))
