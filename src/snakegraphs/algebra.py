@@ -105,14 +105,14 @@ def _add_power2(d, m, exp2):
 
 
 # A monomial's hash is the sum of exponent * hash(variable) over its
-# items, masked to 64 bits: it does not depend on the order of the items,
-# and it is linear in the exponents, so the hash of a product is the sum
-# of its factors' hashes. The sum of hash((variable, exponent)) would not
+# items, masked to 63 bits so that hash() returns it unreduced: it does
+# not depend on the order of the items, and it is linear in the
+# exponents, so the hash of a product is the sum of its factors' hashes. The sum of hash((variable, exponent)) would not
 # do: the tuple hash is nearly linear in the exponent, with one slope for
 # every variable, so monomials that move degree from one variable to
 # another collide (x^a * y^(20 - a) for a in range(-50, 50) take fewer
 # than ten values).
-_HASH_MASK = (1 << 64) - 1
+_HASH_MASK = (1 << 63) - 1
 
 
 def _hash_of(d):
@@ -230,10 +230,6 @@ class Mono:
     def inverse(self):
         return Mono._hashed({v: -e for v, e in self._exps.items()},
                             -self._hash)
-
-    def power2(self, exp2):
-        """Raise to the power exp2/2. Requires the result to be integral."""
-        return Mono._trusted(_add_power2({}, self, exp2))
 
     def __eq__(self, other):
         return isinstance(other, Mono) and self._exps == other._exps

@@ -42,7 +42,6 @@ from .mpath import (
     shear,
 )
 from .surface import (
-    PuncturedSurface,
     ValidationError,
     _reject_unknown,
     _typed,
@@ -179,29 +178,6 @@ class LoosenedMPath:
                        if s.kind == TWIST and s.tau[1] == label)
 
         return travel(self.sigma2) - travel(self.sigma1)
-
-
-def crossing_count(curve, label):
-    return list(curve.crossings).count(label)
-
-
-def signed_intersection(loosened, curve, label):
-    return crossing_count(curve, label) + loosened.signed_excess(label)
-
-
-def lamination_intersection_unpunctured(tri, loosened, curve, label):
-    """Crossing count with the elementary lamination running beside the
-    labelled arc, read off a loosened path anchored at the clockwise-most
-    boundary points. Only meaningful on unpunctured surfaces."""
-    if tri.punctures:
-        raise PuncturedSurface(
-            "lamination intersections need an unpunctured surface")
-    value = signed_intersection(loosened, curve, label)
-    if value < 0:
-        raise SkeinError(
-            "anchored path has negative intersection count with %r"
-            % (label,))
-    return value
 
 
 # -- verification ----------------------------------------------------------
@@ -551,7 +527,6 @@ _VARIANT_KEYS = {
     SELF_INTERSECTION: {"split_index", "insert"},
 }
 _COMMON_KEYS = {"variant", "curves", "lamination_counts"}
-_INSTANCE_KEYS = _COMMON_KEYS.union(*_VARIANT_KEYS.values())
 
 
 def instance_from_dict(doc, named_curves=()):
@@ -561,21 +536,18 @@ def instance_from_dict(doc, named_curves=()):
     if not isinstance(doc, dict):
         raise ValidationError("instance document must be an object")
     variant = doc.get("variant")
-    if isinstance(variant, str) and variant in _VARIANTS:
-        # A known variant names the keys and roles it reads; anything else
-        # would be silently ignored.
-        _reject_unknown(doc, _COMMON_KEYS | _VARIANT_KEYS[variant],
-                        "%s instance" % variant)
-        _, lhs_roles, terms_roles = _VARIANTS[variant]
-        roles = set(lhs_roles).union(*terms_roles)
-    else:
-        _reject_unknown(doc, _INSTANCE_KEYS, "instance")
-        roles = None
+    if not isinstance(variant, str) or variant not in _VARIANTS:
+        raise ValidationError("unknown variant %r" % (variant,))
+    # The variant names the keys and roles it reads; anything else would
+    # be silently ignored.
+    _reject_unknown(doc, _COMMON_KEYS | _VARIANT_KEYS[variant],
+                    "%s instance" % variant)
+    _, lhs_roles, terms_roles = _VARIANTS[variant]
+    roles = set(lhs_roles).union(*terms_roles)
     by_name = {c.name: c for c in named_curves if c.name}
     curves = {}
     role_curves = _typed(doc, "curves", dict, {})
-    if roles is not None:
-        _reject_unknown(role_curves, roles, "%s 'curves' role" % variant)
+    _reject_unknown(role_curves, roles, "%s 'curves' role" % variant)
     for role, val in role_curves.items():
         if isinstance(val, str):
             if val not in by_name:
@@ -591,9 +563,8 @@ def instance_from_dict(doc, named_curves=()):
                                   % (key, doc[key]))
     if doc.get("lamination_counts") is not None:
         role_counts = _typed(doc, "lamination_counts", dict, None)
-        if roles is not None:
-            _reject_unknown(role_counts, roles,
-                            "%s 'lamination_counts' role" % variant)
+        _reject_unknown(role_counts, roles,
+                        "%s 'lamination_counts' role" % variant)
         for role, counts in role_counts.items():
             if not isinstance(counts, dict) or not all(
                     type(n) is int for n in counts.values()):

@@ -3,8 +3,7 @@
 A snake graph is a row of unit square tiles glued north or east. Every
 edge carries a variable label. The two computation routes implemented
 here, summing over perfect matchings and multiplying 2x2 transfer
-matrices, must agree exactly; a slower exhaustive matcher is kept as an
-independent oracle.
+matrices, must agree exactly.
 
 The transfer matrices are products of elementary steps: shears, twists
 and pivots. Each graph builds its standard step sequence from its own
@@ -199,22 +198,19 @@ class _Packing:
     which is linear in the exponents too (``algebra._hash_of``). A
     product of monomials is then a sum of keys as long as no digit
     overflows, so ``bits`` is chosen wider than the sum over the factors
-    of their largest exponent: the polynomials of each group in
-    ``factors``, then 2 for each twist or pivot in ``steps`` and 4 for
-    each shear, whose labels may coincide.
+    of their largest exponent: the largest in the start polynomials
+    ``polys``, then 2 for each twist or pivot in ``steps`` and 4 for each
+    shear, whose labels may coincide.
     """
 
-    def __init__(self, factors, steps=()):
+    def __init__(self, polys, steps=()):
         index, bound = {}, 0
-        for polys in factors:
-            most = 0
-            for p in polys:
-                for m, _ in p.coefficients():
-                    for v, e in m.exponents():
-                        index.setdefault(v, len(index))
-                        if e > most or -e > most:
-                            most = abs(e)
-            bound += most
+        for p in polys:
+            for m, _ in p.coefficients():
+                for v, e in m.exponents():
+                    index.setdefault(v, len(index))
+                    if e > bound or -e > bound:
+                        bound = abs(e)
         for s in steps:
             if s.kind == SHEAR:
                 labels, most = (s.sigma, s.tau, s.tau_prime), 4
@@ -294,7 +290,7 @@ def _packed_fold(steps, reduced, columns, scale=None):
     if scale is not None:
         start = [(scale * top, scale * bottom) for top, bottom in start]
     rest = steps[first:]
-    packing = _Packing([[p for col in start for p in col]], rest)
+    packing = _Packing([p for col in start for p in col], rest)
     pack, unit, half = packing.pack, packing.unit, 0 if reduced else 1
     cols = [[dict(pack(top)), 0, 1, dict(pack(bottom)), 0, 1]
             for top, bottom in start]
@@ -353,30 +349,6 @@ def path_reading(steps, closed, reduced=False, scale=None):
         return read(a) + read(d)
     read, ((b, _),) = _packed_fold(steps, reduced, (1,), scale)
     return read(b)
-
-
-def _matchings_by_exhaustion(vertices, ends):
-    """Oracle: every perfect matching of the graph on ``vertices`` whose
-    edge ids map to their two ends in ``ends``.
-
-    An include/exclude recursion over the edges in the order given,
-    abandoned once an uncovered vertex has no edge left. It shares no
-    step with ``SnakeGraph.perfect_matchings``.
-    """
-    ids = list(ends)
-    last = {v: i for i, e in enumerate(ids) for v in ends[e]}
-    found = []
-
-    def rec(i, covered, chosen):
-        if len(covered) == len(vertices):
-            found.append(frozenset(chosen))
-        elif all(v in covered or last[v] >= i for v in vertices):
-            rec(i + 1, covered, chosen)
-            if not ends[ids[i]] & covered:
-                rec(i + 1, covered | ends[ids[i]], chosen + [ids[i]])
-
-    rec(0, frozenset(), [])
-    return found
 
 
 def shape_word(turns):
@@ -527,13 +499,6 @@ class SnakeGraph:
             out += sorted(run, key=sorted) if len(run) > 1 else run
         return out
 
-    def matchings_by_exhaustion(self):
-        """Independent oracle enumerator. Output order is by sorted edge
-        sets, not matching order."""
-        ends = {key: frozenset(key) for key in sorted(self.edge_labels)}
-        return sorted(_matchings_by_exhaustion(self.vertices, ends),
-                      key=sorted)
-
     def minimal_matching(self):
         """The all-boundary matching that contains the corner ``a`` edge:
         every other edge of the boundary cycle, starting at ``a``."""
@@ -680,11 +645,6 @@ class BandGraph:
             corner_w=tuple(diagonals)[0],
             corner_z=cut_label,
         )
-        base = self.base
-        d = base.d
-        px, py = base.positions[-1]
-        self.vertex_x_partner = (px + 1, py + 1)
-        self.vertex_y_partner = (px + 1, py) if d % 2 == 1 else (px, py + 1)
 
     @property
     def d(self):
@@ -732,37 +692,6 @@ class BandGraph:
         standard step sequence."""
         return path_reading(self.steps(), True,
                             scale=Poly.from_mono(self.crossing_mono()))
-
-    def good_matchings_by_exhaustion(self):
-        """Oracle: matchings of the identified graph, filtered directly.
-
-        Works on the actual band graph (vertices of the cut partners
-        merged, the two cut copies identified into one edge) and keeps a
-        matching when it uses the cut edge or when its edges at the two
-        cut vertices lie on a common side of the cut. Returns sorted
-        (edge set, weight) pairs; heights are checked through the matrix
-        route instead.
-        """
-        base = self.base
-        x, y = self.vertex_x_partner, self.vertex_y_partner
-        vmap = {x: (0, 0), y: (1, 0)}
-        cuts = (base.edge_key_a, base.edge_key_z)
-        ends, labels, last_side = {}, {}, set()
-        for key in sorted(base.edge_labels):
-            eid = "cut" if key in cuts else key
-            ends[eid] = frozenset(vmap.get(v, v) for v in key)
-            labels[eid] = base.edge_labels[key]
-            if x in key or y in key:
-                last_side.add(eid)
-        vertices = sorted(set().union(*ends.values()))
-
-        def side(m, v):
-            return next(e for e in m if v in ends[e]) in last_side
-
-        good = [m for m in _matchings_by_exhaustion(vertices, ends)
-                if "cut" in m or side(m, (0, 0)) == side(m, (1, 0))]
-        out = [(m, _monomial(labels[eid] for eid in m)) for m in good]
-        return sorted(out, key=lambda it: sorted(map(str, it[0])))
 
     def to_dot(self):
         base = self.base

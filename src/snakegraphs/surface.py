@@ -45,10 +45,6 @@ class UnsupportedSelfFoldedSelfIntersection(ValidationError):
     crossing-sequence encoding cannot express."""
 
 
-class PuncturedSurface(ValidationError):
-    """An operation restricted to unpunctured surfaces."""
-
-
 def _folded_sides(sf):
     """The sorted sides of the triangle a self-folded record declares."""
     return tuple(sorted([sf["radius"], sf["radius"], sf["noose"]]))
@@ -530,10 +526,6 @@ class ClusterElement:
         self.f_poly = f_poly
         self.tropical_shift = tropical_shift
         self.normalized = normalized
-
-    @property
-    def shift_is_trivial(self):
-        return self.tropical_shift is None or self.tropical_shift.is_unit()
 
 
 def specialize(tri, raw, keep_boundary=False):

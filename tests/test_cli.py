@@ -254,6 +254,21 @@ class TestErrors:
         assert code == 1
         assert "ParseError" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("instance,message", [
+        ({"variant": "BOGUS", "mystery": 1}, "unknown variant 'BOGUS'"),
+        ({"curves": {}}, "unknown variant None"),
+    ], ids=["unknown", "missing"])
+    def test_skein_check_names_a_bad_variant(self, tmp_path, capsys,
+                                             instance, message):
+        doc = json.loads(golden("skein_octagon.json"))
+        doc["instance"] = instance
+        p = tmp_path / "variant.json"
+        p.write_text(json.dumps(doc), encoding="utf-8")
+        code, _ = run(["skein-check", str(p)])
+        assert code == 1
+        assert capsys.readouterr().err == "ParseError: %s: %s\n" % (
+            p, message)
+
     def test_one_crossing_loop(self, tmp_path, capsys):
         p = tmp_path / "short.json"
         doc = json.loads(golden("annulus.json"))

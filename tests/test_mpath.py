@@ -165,10 +165,11 @@ def step_sequences(draw, labels=labels):
 
 
 def assert_hash_is_exact(m):
-    """The monomial's stored hash is the one its exponents define, and
-    hash() agrees with the validating constructor's (hash() reduces a
-    stored value past sys.maxsize, so the two are compared separately)."""
+    """The monomial's stored hash is the one its exponents define; it
+    fits in 63 bits, so hash() returns it unreduced, as it does for the
+    validating constructor's."""
     assert m._hash == _hash_of(m._exps)
+    assert hash(m) == _hash_of(m._exps)
     assert hash(m) == hash(Mono(m._exps))
 
 
@@ -245,7 +246,7 @@ class TestPackedDigits:
     def test_keys_read_back_at_every_width(self, e):
         p = Poly({Mono({("x", "a"): e, ("b", "c"): -1}): 2,
                   Mono({("x", "a"): 1}): -1, Mono(): 5})
-        packing = _Packing([[p]])
+        packing = _Packing([p])
         assert packing.unpack(dict(packing.pack(p))) == p
 
     @pytest.mark.parametrize("e", [(1 << 15) - 1, -((1 << 15) - 1),
@@ -256,7 +257,7 @@ class TestPackedDigits:
         v, w, u = signed_hash_labels()[:3]
         p = Poly({Mono({v: e, w: -e}): 2, Mono({w: e, u: 1}): -1,
                   Mono({u: -e}): 3, Mono(): 5})
-        packing = _Packing([[p]])
+        packing = _Packing([p])
         back = packing.unpack(dict(packing.pack(p)))
         assert back == p
         for m, _ in back.coefficients():
@@ -264,7 +265,7 @@ class TestPackedDigits:
 
     def test_exponents_past_64_bits_are_refused(self):
         with pytest.raises(ProductTooWide):
-            _Packing([[Poly.of_var("x", "a", 1 << 63)]])
+            _Packing([Poly.of_var("x", "a", 1 << 63)])
 
 
 class TestHashDigit:

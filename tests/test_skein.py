@@ -35,22 +35,24 @@ from snakegraphs.skein import (
     IsotopyMismatch,
     LoosenedMPath,
     NotComposable,
-    PuncturedSurface,
     SelfFoldedUnsupported,
     SkeinError,
     SkeinInstance,
     check_matrix_identities,
-    crossing_count,
     instance_from_dict,
     kink_circuit,
-    lamination_intersection_unpunctured,
     monomial_quotient,
     ptolemy_check,
-    signed_intersection,
     verify_skein,
 )
 from snakegraphs.surface import Curve
 
+from oracles import (
+    PuncturedSurface,
+    crossing_count,
+    lamination_intersection_unpunctured,
+    signed_intersection,
+)
 from test_surface import folded_disk
 
 
@@ -308,6 +310,16 @@ class TestInterchange:
         with pytest.raises(ValidationError):
             instance_from_dict({"variant": ARC_ARC,
                                 "curves": {"gamma1": "nope"}})
+
+    @pytest.mark.parametrize("doc,message", [
+        ({"variant": "BOGUS", "mystery": 1}, "unknown variant 'BOGUS'"),
+        ({"curves": {}}, "unknown variant None"),
+    ], ids=["unknown", "missing"])
+    def test_variant_is_checked_before_any_key(self, doc, message):
+        from snakegraphs.surface import ValidationError
+        with pytest.raises(ValidationError) as err:
+            instance_from_dict(doc)
+        assert str(err.value) == message
 
     @pytest.mark.parametrize("doc", [
         {"variant": ARC_ARC, "split_index": 1},

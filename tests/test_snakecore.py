@@ -43,6 +43,8 @@ from snakegraphs.snakecore import (
 from snakegraphs.selftest import fan_chord, fan_triangulation
 from snakegraphs.surface import graph_for
 
+from oracles import good_matchings_by_exhaustion, matchings_by_exhaustion
+
 
 def xv(lbl):
     return ("x", lbl)
@@ -323,7 +325,7 @@ class TestMatchings:
         for _ in range(30):
             g, _ = random_snake(rng, max_d=7)
             assert (sorted(g.perfect_matchings(), key=sorted)
-                    == g.matchings_by_exhaustion())
+                    == matchings_by_exhaustion(g))
 
     def test_exhaustive_oracle_large_branch(self):
         # graphs past the subset-filter cutover exercise the pruned
@@ -332,7 +334,7 @@ class TestMatchings:
         for _ in range(6):
             g, _ = random_snake(rng, d=rng.randint(7, 9))
             assert (sorted(g.perfect_matchings(), key=sorted)
-                    == g.matchings_by_exhaustion())
+                    == matchings_by_exhaustion(g))
 
 
 def ray_cast_height(g, matching, minimal):
@@ -378,7 +380,7 @@ class TestFenceWalk:
             for shapes in itertools.product((NORTH, EAST), repeat=d - 1):
                 g = simple_snake(d, shapes)
                 assert (sorted(g.perfect_matchings(), key=sorted)
-                        == g.matchings_by_exhaustion())
+                        == matchings_by_exhaustion(g))
 
     @settings(max_examples=15, deadline=None)
     @given(st.data())
@@ -394,7 +396,7 @@ class TestFenceWalk:
             bv(data.draw(st.sampled_from("awz"))))
         rows = g.weighted_matchings()
         assert (sorted((m for m, _, _ in rows), key=sorted)
-                == g.matchings_by_exhaustion())
+                == matchings_by_exhaustion(g))
         minimal = g.minimal_matching()
         for m, _, height in rows:
             assert height == ray_cast_height(g, m, minimal)
@@ -566,7 +568,7 @@ class TestBand:
             g = BandGraph(
                 [xv("i%d" % (j + 1)) for j in range(d)], shapes,
                 [xv("g%d" % (j + 1)) for j in range(d - 1)], bv("c"))
-            oracle = g.good_matchings_by_exhaustion()
+            oracle = good_matchings_by_exhaustion(g)
             descended = g.good_matchings()
             assert len(oracle) == len(descended)
             weights_a = sorted(w.items() for _, w in oracle)
@@ -586,7 +588,7 @@ class TestBand:
                     sorted(map(str, ("cut" if k in cuts else k for k in m)))
                     for m, _, _ in g.good_matchings())
                 oracle = [sorted(map(str, m))
-                          for m, _ in g.good_matchings_by_exhaustion()]
+                          for m, _ in good_matchings_by_exhaustion(g)]
                 assert descended == oracle
 
     def test_oracles_do_not_use_the_production_search(self, monkeypatch):
@@ -597,16 +599,16 @@ class TestBand:
             [rng.choice([NORTH, EAST]) for _ in range(d - 1)],
             [xv("g%d" % (j + 1)) for j in range(d - 1)], bv("c"))
             for d in (2, 3, 5, 7)]
-        before = ([g.matchings_by_exhaustion() for g in snakes],
-                  [g.good_matchings_by_exhaustion() for g in bands])
+        before = ([matchings_by_exhaustion(g) for g in snakes],
+                  [good_matchings_by_exhaustion(g) for g in bands])
 
         def refuse(self, *args):
             raise AssertionError("the oracle called the production search")
 
         monkeypatch.setattr(SnakeGraph, "perfect_matchings", refuse)
         monkeypatch.setattr(SnakeGraph, "minimal_matching", refuse)
-        after = ([g.matchings_by_exhaustion() for g in snakes],
-                 [g.good_matchings_by_exhaustion() for g in bands])
+        after = ([matchings_by_exhaustion(g) for g in snakes],
+                 [good_matchings_by_exhaustion(g) for g in bands])
         assert after == before
         assert all(before[0]) and all(before[1])
 
