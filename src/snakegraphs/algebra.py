@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
+from itertools import compress
 from operator import itemgetter
 
 KINDS = ("x", "y", "Y", "b")
@@ -301,17 +302,26 @@ class Poly:
         """Terms in canonical (graded lexicographic) order: higher total
         degree first, ties broken by the exponents read in variable
         order, a higher exponent first."""
-        index = {v: i for i, v in enumerate(self.variables(), 1)}
+        return [(m, c) for _, m, c in self._sort_rows()[1]]
+
+    def _sort_rows(self):
+        """The variables in variable order, and a (row, monomial,
+        coefficient) triple per term in canonical order. A term's row is
+        its dense sort key [-degree, -e_1, ..., -e_n], e_i its doubled
+        exponent in variable i, so the rows sort in canonical order; they
+        define it, for ``terms`` and ``format_poly`` alike."""
+        variables = self.variables()
+        index = {v: i for i, v in enumerate(variables, 1)}
         width = len(index) + 1
-
-        def key(m):
-            vec = [0] * width
+        rows = []
+        for m, c in self._terms.items():
+            row = [0] * width
             for v, e in m._exps.items():
-                vec[0] -= e
-                vec[index[v]] = -e
-            return vec
-
-        return [(m, self._terms[m]) for m in sorted(self._terms, key=key)]
+                row[0] -= e
+                row[index[v]] = -e
+            rows.append((row, m, c))
+        rows.sort(key=itemgetter(0))
+        return variables, rows
 
     def variables(self):
         vs = set()
@@ -421,11 +431,24 @@ class Poly:
         """
         if self.is_zero():
             raise ZeroPolynomial("tropical evaluation of the zero polynomial")
+        # one read of every term's items: the least exponent of each
+        # variable over the terms that hold it, and how many hold it
+        low, held = {}, {}
+        for m in self._terms:
+            for v, e in m._exps.items():
+                if v in low:
+                    held[v] += 1
+                    if e < low[v]:
+                        low[v] = e
+                else:
+                    low[v], held[v] = e, 1
         if variables is None:
             variables = self.variables()
-        out = {}
+        n, out = len(self._terms), {}
         for v in variables:
-            lo = min(m.exponent2(v) for m in self._terms)
+            lo = low.get(v, 0)
+            if lo > 0 and held[v] < n:  # a term without v counts as 0
+                lo = 0
             if lo:
                 out[v] = lo
         return Mono(out)
@@ -480,10 +503,12 @@ def format_mono(m):
 
 
 class _Factors(dict):
-    """(variable, doubled exponent) -> its text, rendered on first use."""
+    """(variable, negated doubled exponent), as a sort row holds them ->
+    the factor's text, rendered on first use."""
 
     def __missing__(self, item):
-        text = self[item] = _format_factor(*item)
+        v, e = item
+        text = self[item] = _format_factor(v, -e)
         return text
 
 
@@ -491,22 +516,23 @@ def format_poly(p):
     """Render in canonical text form.
 
     Terms appear in graded lexicographic order, joined by " + " or " - ";
-    a leading negative term gets a bare "-" prefix. Each distinct factor
-    is rendered once per call.
+    a leading negative term gets a bare "-" prefix. Each term is read
+    from its sort row (``Poly._sort_rows``): its nonzero entries, in
+    variable order, are its factors. Each distinct factor is rendered
+    once per call.
     """
-    terms = p.terms()
-    if not terms:
+    variables, rows = p._sort_rows()
+    if not rows:
         return "0"
     factor = _Factors().__getitem__
     chunks = []
-    for i, (m, c) in enumerate(terms):
-        mag = abs(c)
-        if m.is_unit():
+    for i, (row, _, c) in enumerate(rows):
+        mag, exps = abs(c), row[1:]
+        body = "*".join(map(factor, compress(zip(variables, exps), exps)))
+        if not body:
             body = str(mag)
-        else:
-            body = "*".join(map(factor, m.items()))
-            if mag != 1:
-                body = "%d*%s" % (mag, body)
+        elif mag != 1:
+            body = "%d*%s" % (mag, body)
         if i == 0:
             chunks.append(("-" if c < 0 else "") + body)
         else:

@@ -33,7 +33,7 @@ Grid conventions (frozen, everything else depends on them):
 from __future__ import annotations
 
 from array import array
-from itertools import compress, groupby
+from itertools import chain, compress, groupby
 from operator import itemgetter
 from sys import byteorder
 from typing import NamedTuple
@@ -449,22 +449,19 @@ class SnakeGraph:
 
     # -- matchings ---------------------------------------------------------
 
-    def perfect_matchings(self, _rows=None):
-        """All perfect matchings: the minimal one first, then by height
-        degree, height and, between equal heights, sorted edges.
+    def _leaves(self):
+        """The walk's (edge set, enclosed tiles) once per perfect matching,
+        both live: each is changed in place when the walk moves on.
 
         A matching is the minimal one with the four sides of each tile it
         encloses toggled. The enclosed sets are the 0/1 words on the tiles
         that avoid (1, 0) where the turn into the next tile is
         counterclockwise and (0, 1) where it is clockwise: the order
-        ideals of a fence on the tiles. A depth-first walk over the
-        tiles, with a stack rather than recursion, builds each matching,
-        its weight and its height once, and stores (weight, height) under
-        the matching in ``_rows`` when a dict is given.
+        ideals of a fence on the tiles. The walk is depth-first over the
+        tiles, with a stack rather than recursion.
         """
         d, ccw, sides = self.d, self._ccw, self._sides
         current, enclosed = set(self.minimal_matching()), []
-        rows = {} if _rows is None else _rows
         todo = [(0, True), (0, False)]  # (tile, enclosed) still to visit
         while todo:
             j, inside = todo.pop()
@@ -474,14 +471,26 @@ class SnakeGraph:
                 current.symmetric_difference_update(sides[j])
                 enclosed.append(j)
             if j + 1 == d:
-                # a tuple, so that the frozenset gets a table of its own size
-                m = frozenset(tuple(current))
-                rows[m] = (self.weight_mono(m), self.height_mono(enclosed))
+                yield current, enclosed
             else:  # tile j + 1, skipping the pair this turn forbids
                 if inside or ccw[j]:
                     todo.append((j + 1, True))
                 if not (inside and ccw[j]):
                     todo.append((j + 1, False))
+
+    def perfect_matchings(self, _rows=None):
+        """All perfect matchings: the minimal one first, then by height
+        degree, height and, between equal heights, sorted edges.
+
+        Each leaf of ``_leaves`` builds its matching, weight and height
+        once, and stores (weight, height) under the matching in ``_rows``
+        when a dict is given.
+        """
+        rows = {} if _rows is None else _rows
+        for current, enclosed in self._leaves():
+            # a tuple, so that the frozenset gets a table of its own size
+            m = frozenset(tuple(current))
+            rows[m] = (self.weight_mono(m), self.height_mono(enclosed))
 
         # Heights hold only kind "Y", so the ranks of their variables,
         # paired with exponents, sort as their items do.
@@ -601,7 +610,16 @@ class SnakeGraph:
                             scale=Poly.from_mono(self.crossing_mono()))
 
     def enumerator_by_matchings(self):
-        return _matching_sum(self.weighted_matchings())
+        """The sum over perfect matchings of weight times height, in no
+        order: each leaf of ``_leaves`` adds one monomial over its edge
+        labels and the curlies of its enclosed tiles."""
+        labels = self.edge_labels.__getitem__
+        curlies = self._curlies.__getitem__
+        d = {}
+        for current, enclosed in self._leaves():
+            m = _monomial(chain(map(labels, current), map(curlies, enclosed)))
+            d[m] = d.get(m, 0) + 1
+        return Poly._trusted(d)
 
     # -- output ------------------------------------------------------------
 

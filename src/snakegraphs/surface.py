@@ -9,6 +9,8 @@ crossing sequences plus the triangles where they start and end.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .algebra import LABEL_RULE, Mono, Poly, SnakeGraphsError, is_label
 from .snakecore import (
     CCW,
@@ -517,31 +519,41 @@ def coefficient_map(tri, keep_boundary=True):
 
 
 class ClusterElement:
-    """Result of expanding a curve: the Laurent expansion, its
-    coefficient-only specialization, the tropical shift of the latter
-    and the shift-normalized expansion."""
+    """Result of expanding a curve: the Laurent expansion, and, each
+    computed on first read, its coefficient-only specialization, the
+    tropical shift of the latter and the shift-normalized expansion."""
 
-    def __init__(self, laurent, f_poly, tropical_shift, normalized):
+    def __init__(self, laurent):
         self.laurent = laurent
-        self.f_poly = f_poly
-        self.tropical_shift = tropical_shift
-        self.normalized = normalized
+
+    @cached_property
+    def f_poly(self):
+        """The expansion with every ``x`` and ``b`` variable set to 1."""
+        x = self.laurent
+        return x.substitute({v: 1 for v in x.variables()
+                             if v[0] in ("x", "b")})
+
+    @cached_property
+    def tropical_shift(self):
+        """The tropical value of ``f_poly`` on its ``y`` variables, or
+        None when it is zero."""
+        f = self.f_poly
+        if f.is_zero():
+            return None
+        return f.tropical_eval([v for v in f.variables() if v[0] == "y"])
+
+    @cached_property
+    def normalized(self):
+        """The expansion divided by its tropical shift."""
+        shift = self.tropical_shift
+        if shift is None:
+            return self.laurent
+        return self.laurent * Poly.from_mono(shift.inverse())
 
 
 def specialize(tri, raw, keep_boundary=False):
     """Push a raw expansion through ``coefficient_map``, in one pass."""
     return raw.substitute(coefficient_map(tri, keep_boundary))
-
-
-def _finish(tri, raw, keep_boundary):
-    x = specialize(tri, raw, keep_boundary)
-    kill = {v: 1 for v in x.variables() if v[0] in ("x", "b")}
-    f = x.substitute(kill)
-    if f.is_zero():
-        return ClusterElement(x, f, None, x)
-    shift = f.tropical_eval([v for v in f.variables() if v[0] == "y"])
-    normalized = x * Poly.from_mono(shift.inverse())
-    return ClusterElement(x, f, shift, normalized)
 
 
 def signed_reading(curve, read):
@@ -574,7 +586,7 @@ def expand(tri, curve, keep_boundary=False):
             g = graph_for(tri, curve)
             return g.enumerator_by_matchings().div_mono(g.crossing_mono())
         raw = signed_reading(curve, read)
-    return _finish(tri, raw, keep_boundary)
+    return ClusterElement(specialize(tri, raw, keep_boundary))
 
 
 def expand_by_matrices(tri, curve, keep_boundary=False):
@@ -583,7 +595,7 @@ def expand_by_matrices(tri, curve, keep_boundary=False):
     g = graph_for(tri, curve)
     raw = signed_reading(curve, lambda: g.enumerator_by_matrices().div_mono(
         g.crossing_mono()))
-    return _finish(tri, raw, keep_boundary)
+    return ClusterElement(specialize(tri, raw, keep_boundary))
 
 
 # -- JSON interchange ------------------------------------------------------

@@ -1,13 +1,17 @@
 """Reference implementations that only the tests call.
 
-Each is written as a function of a graph, monomial, expansion or path,
-and shares no step with the production code it checks: the exhaustive
-matchers search edge subsets directly rather than walking the tiles'
-fence, so they stand as independent oracles for
-``SnakeGraph.perfect_matchings`` and ``BandGraph.good_matchings``.
+Each is written as a function of a graph, polynomial, monomial,
+expansion or path, and shares no step with the production code it
+checks: the exhaustive matchers search edge subsets directly rather than
+walking the tiles' fence, so they stand as independent oracles for
+``SnakeGraph.perfect_matchings`` and ``BandGraph.good_matchings``; the
+canonical order and text are read from each monomial's sorted items
+rather than from dense sort rows.
 """
 
-from snakegraphs.algebra import Mono, _add_power2
+from functools import cmp_to_key
+
+from snakegraphs.algebra import KINDS, Mono, _add_power2
 from snakegraphs.snakecore import _monomial
 from snakegraphs.skein import SkeinError
 from snakegraphs.surface import ValidationError
@@ -89,9 +93,91 @@ def power2(m, exp2):
     return Mono._trusted(_add_power2({}, m, exp2))
 
 
+def tropical_eval_per_variable(p, variables=None):
+    """``Poly.tropical_eval`` by its definition: for each variable, the
+    least exponent over all terms, a term without it counting as 0."""
+    if variables is None:
+        variables = p.variables()
+    out = {}
+    for v in variables:
+        lo = min(m.exponent2(v) for m, _ in p.coefficients())
+        if lo:
+            out[v] = lo
+    return Mono(out)
+
+
 def shift_is_trivial(element):
     """Whether a ClusterElement's tropical shift is absent or the unit."""
     return element.tropical_shift is None or element.tropical_shift.is_unit()
+
+
+# -- canonical order and text ------------------------------------------------
+
+
+def variable_key(v):
+    """Variables sort by kind, in KINDS order, then by label."""
+    return (KINDS.index(v[0]), v[1])
+
+
+def sorted_items(m):
+    """A monomial's (variable, doubled exponent) items in variable order."""
+    return sorted(m.exponents(), key=lambda item: variable_key(item[0]))
+
+
+def graded_cmp(a, b):
+    """Graded lexicographic comparison of two monomials, read from their
+    sorted items; the greater monomial sorts first."""
+    da, db = a.degree2(), b.degree2()
+    if da != db:
+        return -1 if da > db else 1
+    ia, ib = sorted_items(a), sorted_items(b)
+    i = j = 0
+    while i < len(ia) or j < len(ib):
+        va = variable_key(ia[i][0]) if i < len(ia) else None
+        vb = variable_key(ib[j][0]) if j < len(ib) else None
+        if vb is None or (va is not None and va < vb):
+            ea, eb = ia[i][1], 0
+            i += 1
+        elif va is None or vb < va:
+            ea, eb = 0, ib[j][1]
+            j += 1
+        else:
+            ea, eb = ia[i][1], ib[j][1]
+            i += 1
+            j += 1
+        if ea != eb:
+            return -1 if ea > eb else 1
+    return 0
+
+
+def terms_by_items(p):
+    """The (monomial, coefficient) terms of ``p`` in canonical order."""
+    return sorted(p.coefficients(),
+                  key=cmp_to_key(lambda s, t: graded_cmp(s[0], t[0])))
+
+
+def format_by_items(p):
+    """The canonical text of ``p``, each term rendered from its sorted
+    items."""
+    chunks = []
+    for m, c in terms_by_items(p):
+        factors = []
+        for v, e in sorted_items(m):
+            body = "%s:%s" % v
+            if e % 2:
+                body += "^(%d/2)" % e
+            elif e != 2:
+                body += "^%d" % (e // 2)
+            factors.append(body)
+        body = "*".join(factors)
+        if not body:
+            body = str(abs(c))
+        elif abs(c) != 1:
+            body = "%d*%s" % (abs(c), body)
+        sign = ("-" if c < 0 else "") if not chunks else \
+            (" - " if c < 0 else " + ")
+        chunks.append(sign + body)
+    return "".join(chunks) or "0"
 
 
 # -- lamination intersections ------------------------------------------------

@@ -26,7 +26,14 @@ from snakegraphs.algebra import (
     var,
 )
 
-from oracles import power2
+from oracles import (
+    format_by_items,
+    graded_cmp,
+    power2,
+    terms_by_items,
+    tropical_eval_per_variable,
+    variable_key,
+)
 
 VARS = [("x", "t1"), ("x", "t2"), ("y", "t1"), ("Y", "t2"), ("b", "b1")]
 
@@ -53,35 +60,6 @@ wide_dicts = st.dictionaries(st.sampled_from(WIDE_VARS), st.integers(-5, 5),
 wide_monos = wide_dicts.map(Mono)
 wide_polys = st.dictionaries(wide_monos, st.integers(-3, 3),
                              max_size=8).map(Poly)
-
-
-def _reference_var_key(v):
-    return (KINDS.index(v[0]), v[1])
-
-
-def _reference_cmp(a, b):
-    """Graded lexicographic comparison; the greater monomial sorts first."""
-    da, db = a.degree2(), b.degree2()
-    if da != db:
-        return -1 if da > db else 1
-    ia, ib = a.items(), b.items()
-    i = j = 0
-    while i < len(ia) or j < len(ib):
-        va = _reference_var_key(ia[i][0]) if i < len(ia) else None
-        vb = _reference_var_key(ib[j][0]) if j < len(ib) else None
-        if vb is None or (va is not None and va < vb):
-            ea, eb = ia[i][1], 0
-            i += 1
-        elif va is None or vb < va:
-            ea, eb = 0, ib[j][1]
-            j += 1
-        else:
-            ea, eb = ia[i][1], ib[j][1]
-            i += 1
-            j += 1
-        if ea != eb:
-            return -1 if ea > eb else 1
-    return 0
 
 
 def _reference_substitute(p, mapping):
@@ -241,6 +219,27 @@ class TestCanonicalText:
         assert parse_poly(text) == num
         assert calls == ["__init__"] * 6765
 
+    @settings(max_examples=300)
+    @given(wide_polys, st.integers(-3, 3))
+    def test_text_and_order_are_the_item_sort_oracle(self, p, c):
+        # a constant term c, and |c| > 1 or a negative leading term when
+        # the draw gives one
+        q = p + Poly.const(c)
+        for r in (p, q, -q):
+            assert r.terms() == terms_by_items(r)
+            assert format_poly(r) == format_by_items(r)
+
+    def test_item_sort_oracle_at_the_edges(self):
+        y, x, b = var("y", "1"), var("x", "10"), var("b", "0-2")
+        p = Poly({Mono({x: -3, y: 1}): -2, Mono({b: 4}): 3, Mono(): -5,
+                  Mono({y: 2, x: -2}): 1})
+        text = "3*b:0-2^2 - 5 + x:10^-1*y:1 - 2*x:10^(-3/2)*y:1^(1/2)"
+        assert format_poly(p) == format_by_items(p) == text
+        assert format_poly(-p) == format_by_items(-p)
+        assert p.terms() == terms_by_items(p)
+        assert format_poly(Poly.const(-4)) == format_by_items(
+            Poly.const(-4)) == "-4"
+
     def test_parse_sums_repeated_terms(self):
         assert parse_poly("x:t1*x:t1 + 2*x:t1^2 - y:t1 + y:t1") \
             == Poly.from_mono(Mono.of("x", "t1", 4), 3)
@@ -306,6 +305,21 @@ class TestTropical:
         t = p.tropical_eval([var("y", "t1")])
         assert t == Mono.of("y", "t1")
 
+    @settings(max_examples=200)
+    @given(wide_polys.filter(lambda p: not p.is_zero()), st.integers(1, 4),
+           st.lists(st.sampled_from(WIDE_VARS), max_size=6))
+    def test_one_pass_is_the_per_variable_minimum(self, p, k, chosen):
+        every, some, none = var("y", "every"), var("y", "some"), \
+            var("y", "none")
+        # ``every`` is in every term with a positive minimum, ``some``
+        # only in the added term, with a positive exponent, and ``none``
+        # in no term
+        q = (p * Poly.from_mono(Mono({every: k}))
+             + Poly.from_mono(Mono({every: k + 2, some: 3})))
+        for vs in (None, [every, some, none] + chosen):
+            assert q.tropical_eval(vs) == tropical_eval_per_variable(q, vs)
+        assert q.tropical_eval([every, some, none]) == Mono({every: k})
+
 
 class TestMat2:
     def x(self, lbl):
@@ -354,7 +368,7 @@ class TestTrustedConstruction:
         assert hash(m) == hash(ref)
         assert list(m.items()) == sorted(
             [(v, e) for v, e in d.items() if e],
-            key=lambda it: _reference_var_key(it[0]))
+            key=lambda it: variable_key(it[0]))
 
     @settings(max_examples=300)
     @given(wide_dicts, wide_dicts)
@@ -418,7 +432,7 @@ class TestTrustedConstruction:
     def test_terms_follow_the_reference_order(self, p):
         monos = [m for m, _ in p.terms()]
         assert monos == sorted(monos,
-                               key=functools.cmp_to_key(_reference_cmp))
+                               key=functools.cmp_to_key(graded_cmp))
         assert len(monos) == len(set(monos))
 
     @settings(max_examples=300)

@@ -187,6 +187,23 @@ class TestWorkCounts:
             assert calls.count("height_mono") == count
             assert calls.count("minimal_matching") == 1
 
+    def test_leaf_sum_builds_one_monomial_per_matching(self, monkeypatch):
+        # the snake sum adds one monomial per leaf of the walk, with no
+        # matching rows, no order and no packed kernel
+        calls = []
+        self._count(monkeypatch, snakecore, "_monomial", calls)
+        for name in ("weight_mono", "height_mono", "perfect_matchings"):
+            self._count(monkeypatch, SnakeGraph, name, calls)
+        for name in ("_packed_fold", "_Packing"):
+            self._count(monkeypatch, snakecore, name, calls)
+        chord = graph_for(fan_triangulation(300), fan_chord(300, 1, 299))
+        assert chord.d == 297
+        for g, count in ((neen_snake(), 987), (chord, 298)):
+            calls.clear()
+            p = g.enumerator_by_matchings()
+            assert calls == ["_monomial"] * count
+            assert sum(c for _, c in p.coefficients()) == count
+
     def test_validated_monomials_grow_with_tiles(self, monkeypatch):
         g = neen_snake()
         calls = []
@@ -456,6 +473,47 @@ class TestFenceWalk:
             ("x:g0*x:i1*b:a*b:z", "Y:i0*Y:i1"),
             ("x:i1^2*b:b*b:z", "Y:i0^2*Y:i1"),
         ]
+
+
+def assert_leaf_sum_is_the_row_sum(g):
+    got, want = g.enumerator_by_matchings(), _matching_sum(
+        g.weighted_matchings())
+    assert got == want
+    for m, _ in got.coefficients():
+        assert hash(m) == hash(Mono(dict(m.exponents())))
+
+
+class TestLeafSum:
+    """The snake sum built at the walk's leaves against the sum of the
+    ordered (matching, weight, height) rows."""
+
+    def test_every_word_up_to_ten_tiles(self):
+        for d in range(1, 11):
+            for shapes in itertools.product((NORTH, EAST), repeat=d - 1):
+                assert_leaf_sum_is_the_row_sum(simple_snake(d, shapes))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_repeated_labels_up_to_fourteen_tiles(self, data):
+        d = data.draw(st.integers(1, 14))
+        shapes = data.draw(st.lists(st.sampled_from((NORTH, EAST)),
+                                    min_size=d - 1, max_size=d - 1))
+        label = st.sampled_from(("0", "1", "2"))
+        corner = st.sampled_from("abwz")
+        assert_leaf_sum_is_the_row_sum(SnakeGraph(
+            [xv("i" + data.draw(label)) for _ in range(d)], shapes,
+            [data.draw(st.sampled_from((xv, bv)))("i" + data.draw(label))
+             for _ in range(d - 1)],
+            *(bv(data.draw(corner)) for _ in range(4))))
+
+    @pytest.mark.parametrize("corners", ["abwz", "aawz", "abww", "abwa",
+                                         "abbz", "aaaa"])
+    def test_coinciding_corners(self, corners):
+        # the snake whose heights tie, with corner labels that coincide
+        g = SnakeGraph([xv("i0"), xv("i1"), xv("i0")], [NORTH, EAST],
+                       [xv("g0"), xv("g1")], *map(bv, corners))
+        assert_leaf_sum_is_the_row_sum(g)
+        assert g.enumerator_by_matchings() == g.enumerator_by_matrices()
 
 
 class TestMatrixRoute:

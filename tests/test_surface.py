@@ -508,8 +508,9 @@ class TestCoefficientMap:
     ])
     def test_two_substitutions_per_expansion(self, monkeypatch, tri, curve,
                                              route, keep_boundary):
-        # one specialization and one for the F-polynomial; the three
-        # parts of the specialization used to take a pass each
+        # one specialization, and one more for the F-polynomial once it
+        # is read; the three parts of the specialization used to take a
+        # pass each, and the shift and normalized expansion take none
         calls = []
         original = Poly.substitute
 
@@ -518,7 +519,13 @@ class TestCoefficientMap:
             return original(p, mapping)
 
         monkeypatch.setattr(Poly, "substitute", counting)
-        route(tri, curve, keep_boundary=keep_boundary)
+        el = route(tri, curve, keep_boundary=keep_boundary)
+        assert len(calls) == 1
+        el.f_poly
+        assert len(calls) == 2
+        el.tropical_shift
+        el.normalized
+        el.f_poly
         assert len(calls) == 2
 
 
