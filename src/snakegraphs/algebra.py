@@ -81,14 +81,12 @@ def _as_dict(items):
 # variable of kind "x", is in variable order. No Python key function runs
 # per variable.
 _BEFORE_FIRST_X = ("x",)
-_VARIABLE = itemgetter(0)
 
 
-def _in_variable_order(entries, key=None):
-    """Sort variables, or (variable, exponent) items with ``key`` =
-    _VARIABLE, into variable order."""
-    out = sorted(entries, key=key)
-    i = bisect_left(out, _BEFORE_FIRST_X, key=key)
+def _in_variable_order(variables):
+    """Sort variables into variable order."""
+    out = sorted(variables)
+    i = bisect_left(out, _BEFORE_FIRST_X)
     return out[i:] + out[:i]
 
 
@@ -127,11 +125,12 @@ class Mono:
     """A Laurent monomial: a finite map from variables to doubled exponents.
 
     Instances are immutable and hashable. Zero exponents are never stored.
-    The exponents live in a dict in no particular order; the items in
-    variable order are sorted once, on first request, for output.
+    The exponents live in a dict in no particular order; ``items`` sorts
+    them into variable order on each call, and the text form is read from
+    a sort row (``format_mono``).
     """
 
-    __slots__ = ("_exps", "_hash", "_items")
+    __slots__ = ("_exps", "_hash")
 
     def __init__(self, items=()):
         d = {}
@@ -148,7 +147,6 @@ class Mono:
                 d[v] = e
         self._exps = d
         self._hash = _hash_of(d)
-        self._items = None
 
     @classmethod
     def _trusted(cls, d):
@@ -171,7 +169,6 @@ class Mono:
         m = cls.__new__(cls)
         m._exps = d
         m._hash = h & _HASH_MASK
-        m._items = None
         return m
 
     @classmethod
@@ -184,10 +181,8 @@ class Mono:
 
     def items(self):
         """The (variable, doubled exponent) pairs in variable order."""
-        if self._items is None:
-            self._items = tuple(
-                _in_variable_order(self._exps.items(), _VARIABLE))
-        return self._items
+        d = self._exps
+        return tuple((v, d[v]) for v in _in_variable_order(d))
 
     def exponents(self):
         """The (variable, doubled exponent) pairs in no particular order."""
@@ -197,7 +192,7 @@ class Mono:
         return self._exps.get(v, 0)
 
     def variables(self):
-        return tuple(v for v, _ in self.items())
+        return tuple(_in_variable_order(self._exps))
 
     def degree2(self):
         return sum(self._exps.values())
@@ -497,9 +492,9 @@ def _format_factor(v, e):
 
 
 def format_mono(m):
-    if m.is_unit():
-        return "1"
-    return "*".join(_format_factor(v, e) for v, e in m.items())
+    """Render in canonical text form: the text of the one-term polynomial
+    ``m``, read from its sort row, so the unit prints as "1"."""
+    return _format_rows(*Poly._trusted({m: 1})._sort_rows())
 
 
 class _Factors(dict):
@@ -521,7 +516,12 @@ def format_poly(p):
     variable order, are its factors. Each distinct factor is rendered
     once per call.
     """
-    variables, rows = p._sort_rows()
+    return _format_rows(*p._sort_rows())
+
+
+def _format_rows(variables, rows):
+    """The canonical text of the terms ``Poly._sort_rows`` returns; also
+    ``format_mono``'s, so each ``format_poly`` call prints a polynomial."""
     if not rows:
         return "0"
     factor = _Factors().__getitem__

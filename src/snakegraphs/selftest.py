@@ -233,15 +233,6 @@ def random_surface_curves(rng, count, max_tiles=8):
 # -- smoothing instances on polygon fans -----------------------------------
 
 
-def _fan_third_side(tri, e1, e2):
-    for t in tri.triangles:
-        if e1 in t and e2 in t:
-            rest = [s for s in t if s not in (e1, e2)]
-            if rest:
-                return rest[0]
-    raise ValueError("no triangle contains both %r and %r" % (e1, e2))
-
-
 def _fan_vertex_edges(n, m):
     """Sides incident to vertex m of the fan, in clockwise slot order."""
     out = [_pside(m, m + 1) if m + 1 < n else _pside(0, n - 1)]
@@ -264,7 +255,9 @@ def corner_walk(tri, n, m, from_side, to_side):
         seq = list(reversed(seq))
     for t in range(len(seq) - 1):
         e, f = seq[t], seq[t + 1]
-        steps.append(shear(v(e), v(f), v(_fan_third_side(tri, e, f)), CW))
+        home = next(i for i in tri.triangles_containing(e)
+                    if f in tri.triangles[i])
+        steps.append(shear(v(e), v(f), v(tri.third_side(home, e, f)), CW))
         if t + 1 < len(seq) - 1:
             steps.append(twist(v(f), CW))
     return steps
@@ -297,11 +290,11 @@ def fan_skein_instance(n, p, q, r, s):
         "beta1": fan_chord(n, q, p),
         "beta2": fan_chord(n, r, s),
     }
-    lay_a2 = arc_layout(tri, curves["alpha2"])
-    lay_b1 = arc_layout(tri, curves["beta1"])
-    lay_a1 = arc_layout(tri, curves["alpha1"])
-    sigma1 = corner_walk(tri, n, q, lay_a2.corner_z, lay_b1.corner_a)
-    sigma2 = corner_walk(tri, n, p, lay_b1.corner_z, lay_a1.corner_a)
+    a2 = arc_layout(tri, curves["alpha2"])
+    b1 = arc_layout(tri, curves["beta1"])
+    a1 = arc_layout(tri, curves["alpha1"])
+    sigma1 = corner_walk(tri, n, q, a2.corner_z[1], b1.corner_a[1])
+    sigma2 = corner_walk(tri, n, p, b1.corner_z[1], a1.corner_a[1])
     spans = {"gamma1": (p, r), "gamma2": (q, s), "alpha1": (p, s),
              "alpha2": (q, r), "beta1": (p, q), "beta2": (r, s)}
     counts = {role: {_pside(0, k): fan_lamination_count(i, j, k)

@@ -55,8 +55,8 @@ def _folded_sides(sf):
 class Triangulation:
     """An ideal triangulation given by clockwise side triples.
 
-    ``arcs`` may contain plain labels or records with endpoint data; the
-    optional endpoints (marked point labels) are only needed for
+    ``arcs``, ``boundary`` and ``punctures`` list distinct labels.
+    ``arc_ends`` maps an arc to its two endpoint labels, needed only by
     operations that count incidences at a puncture.
     """
 
@@ -82,6 +82,9 @@ class Triangulation:
             raise ValidationError("labels used as both arc and boundary")
         if len(arcset) != len(self.arcs) or len(bset) != len(self.boundary):
             raise ValidationError("duplicate arc or boundary labels")
+        punctures = set(self.punctures)
+        if len(punctures) != len(self.punctures):
+            raise ValidationError("duplicate puncture labels")
         folded, named = {}, set()
         for sf in self.self_folded:
             if set(sf) != {"noose", "radius", "puncture"}:
@@ -121,7 +124,6 @@ class Triangulation:
             if counts.get(b, 0) > 1:
                 raise ValidationError(
                     "boundary segment %r occurs %d times" % (b, counts[b]))
-        punctures = set(self.punctures)
         for sf in self.self_folded:
             noose, radius, p = sf["noose"], sf["radius"], sf["puncture"]
             if noose not in arcset or radius not in arcset:
@@ -307,22 +309,6 @@ class Curve:
         return self.kind in ("arc", "loop")
 
 
-class Layout:
-    """The combinatorial unfolding of a curve: the shape word, glue
-    labels, crossed diagonals and corner or cut labels."""
-
-    def __init__(self, shapes, glues, diagonals, corner_a=None,
-                 corner_b=None, corner_w=None, corner_z=None, cut=None):
-        self.shapes = shapes
-        self.glues = glues
-        self.diagonals = diagonals
-        self.corner_a = corner_a
-        self.corner_b = corner_b
-        self.corner_w = corner_w
-        self.corner_z = corner_z
-        self.cut = cut
-
-
 def _check_crossing_repeats(tri, crossings):
     folded = {sf[k] for sf in tri.self_folded for k in ("radius", "noose")}
     for i in range(len(crossings) - 1):
@@ -387,7 +373,7 @@ def _unfold(tri, start, crossings):
     """Walk the triangle chain from ``start`` across ``crossings``.
 
     Returns the chain of triangle indices and, for each triangle between
-    two crossings, its turn direction and glue label.
+    two crossings, its turn direction and glue variable.
     """
     chain, turns, glues = [start], [], []
     sides = _triangle_sides(tri, start)
@@ -399,14 +385,14 @@ def _unfold(tri, start, crossings):
         if j:
             turn, glue = _turn_and_glue(tri, idx, crossings[j - 1], c)
             turns.append(turn)
-            glues.append(glue)
+            glues.append(tri.variable(glue))
         chain.append(tri.flip_over(idx, c))
         sides = tri.triangles[chain[-1]]
     return chain, turns, glues
 
 
 def arc_layout(tri, curve):
-    """Unfold an arc's crossing sequence into a Layout."""
+    """Unfold an arc's crossing sequence into its snake graph."""
     crossings = curve.crossings
     if not crossings:
         raise NonAdjacentCrossings("arc layout needs at least one crossing")
@@ -420,12 +406,14 @@ def arc_layout(tri, curve):
             % (chain[-1], curve.end_triangle))
     a, b = _end_corners(tri, chain[0], crossings[0], last=False)
     w, z = _end_corners(tri, chain[-1], crossings[-1], last=True)
-    return Layout(shape_word(turns), glues, list(crossings),
-                  corner_a=a, corner_b=b, corner_w=w, corner_z=z)
+    v = tri.variable
+    return SnakeGraph([v(c) for c in crossings], shape_word(turns), glues,
+                      corner_a=v(a), corner_b=v(b),
+                      corner_w=v(w), corner_z=v(z))
 
 
 def loop_layout(tri, curve):
-    """Unfold a loop's crossing sequence into a Layout.
+    """Unfold a loop's crossing sequence into its band graph.
 
     The basepoint triangle must contain the last and first crossings;
     if they appear there in counterclockwise order the sequence is
@@ -466,7 +454,9 @@ def loop_layout(tri, curve):
         cut = tri.third_side(base, crossings[-1], crossings[0])
     else:
         cut = folded["radius"]
-    return Layout(shape_word(turns), glues, list(crossings), cut=cut)
+    v = tri.variable
+    return BandGraph([v(c) for c in crossings], shape_word(turns), glues,
+                     cut_label=v(cut))
 
 
 def graph_for(tri, curve):
@@ -476,17 +466,9 @@ def graph_for(tri, curve):
         raise ValidationError(
             "curve %r of kind %r has no snake or band graph"
             % (curve.name or "?", curve.kind))
-    v = tri.variable
     if curve.kind == "arc":
-        lay = arc_layout(tri, curve)
-        return SnakeGraph(
-            [v(c) for c in lay.diagonals], lay.shapes,
-            [v(g) for g in lay.glues],
-            corner_a=v(lay.corner_a), corner_b=v(lay.corner_b),
-            corner_w=v(lay.corner_w), corner_z=v(lay.corner_z))
-    lay = loop_layout(tri, curve)
-    return BandGraph([v(c) for c in lay.diagonals], lay.shapes,
-                     [v(g) for g in lay.glues], cut_label=v(lay.cut))
+        return arc_layout(tri, curve)
+    return loop_layout(tri, curve)
 
 
 # -- expansion -------------------------------------------------------------

@@ -8,7 +8,7 @@ the canonical form rather than a snapshot of it.
 import functools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from snakegraphs.algebra import (
     KINDS,
@@ -239,6 +239,14 @@ class TestCanonicalText:
         assert p.terms() == terms_by_items(p)
         assert format_poly(Poly.const(-4)) == format_by_items(
             Poly.const(-4)) == "-4"
+
+    @settings(max_examples=300)
+    @given(wide_monos)
+    @example(Mono())
+    @example(Mono({("x", "10"): -3, ("y", "1"): 1, ("Y", "a"): 2,
+                   ("b", "0-2"): -4}))
+    def test_mono_text_is_the_item_sort_oracle(self, m):
+        assert format_mono(m) == format_by_items(Poly.from_mono(m))
 
     def test_parse_sums_repeated_terms(self):
         assert parse_poly("x:t1*x:t1 + 2*x:t1^2 - y:t1 + y:t1") \

@@ -281,6 +281,16 @@ class TestErrors:
         assert err.startswith("DegenerateBand: ")
         assert err.count("\n") == 1
 
+    def test_duplicate_punctures(self, tmp_path, capsys):
+        p = tmp_path / "twice.json"
+        doc = json.loads(golden("annulus.json"))
+        doc["punctures"] = ["p", "p"]
+        p.write_text(json.dumps(doc), encoding="utf-8")
+        code, out = run(["expand", str(p)])
+        assert (code, out) == (1, "")
+        assert capsys.readouterr().err == (
+            "ParseError: %s: duplicate puncture labels\n" % p)
+
     def test_bad_step_line_in_skein_check(self, tmp_path, capsys):
         p = tmp_path / "steps.json"
         doc = {"surface": json.loads(golden("annulus.json")),

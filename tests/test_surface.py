@@ -298,26 +298,33 @@ class TestBMatrix:
 
 
 class TestLayout:
+    """A layout is the curve's graph, its labels mapped to variables."""
+
     def test_annulus_core_loop(self):
-        lay = loop_layout(annulus(), Curve(
+        t = annulus()
+        g = loop_layout(t, Curve(
             "loop", crossings=["1", "2", "3", "4"], basepoint_triangle=3))
-        assert lay.shapes == [NORTH, NORTH, EAST]
-        assert lay.glues == ["b1", "b4", "b3"]
-        assert lay.cut == "b2"
+        assert g.base.shapes == (NORTH, NORTH, EAST)
+        assert g.base.glue_labels == tuple(
+            map(t.variable, ["b1", "b4", "b3"]))
+        assert g.cut_label == t.variable("b2")
 
     def test_reversed_loop_is_reoriented(self):
-        lay = loop_layout(annulus(), Curve(
+        t = annulus()
+        g = loop_layout(t, Curve(
             "loop", crossings=["4", "3", "2", "1"], basepoint_triangle=3))
-        assert lay.diagonals == ["1", "2", "3", "4"]
+        assert g.base.diagonals == tuple(
+            map(t.variable, ["1", "2", "3", "4"]))
 
     def test_arc_through_folded_triangle(self):
         t = folded_disk()
-        lay = arc_layout(t, Curve("arc", crossings=["l", "r"],
-                                  start_triangle=0, end_triangle=1))
-        assert lay.shapes == [EAST]
-        assert lay.glues == ["r"]
-        assert (lay.corner_a, lay.corner_b) == ("a", "b")
-        assert (lay.corner_w, lay.corner_z) == ("l", "r")
+        g = arc_layout(t, Curve("arc", crossings=["l", "r"],
+                                start_triangle=0, end_triangle=1))
+        v = t.variable
+        assert g.shapes == (EAST,)
+        assert g.glue_labels == (v("r"),)
+        assert (g.corner_a, g.corner_b) == (v("a"), v("b"))
+        assert (g.corner_w, g.corner_z) == (v("l"), v("r"))
 
     def test_bad_sequence(self):
         with pytest.raises(NonAdjacentCrossings):
