@@ -306,15 +306,7 @@ class Poly:
         exponent in variable i, so the rows sort in canonical order; they
         define it, for ``terms`` and ``format_poly`` alike."""
         variables = self.variables()
-        index = {v: i for i, v in enumerate(variables, 1)}
-        width = len(index) + 1
-        rows = []
-        for m, c in self._terms.items():
-            row = [0] * width
-            for v, e in m._exps.items():
-                row[0] -= e
-                row[index[v]] = -e
-            rows.append((row, m, c))
+        rows = _dense_rows(variables, self._terms.items())
         rows.sort(key=itemgetter(0))
         return variables, rows
 
@@ -491,10 +483,39 @@ def _format_factor(v, e):
     return "%s^(%d/2)" % (body, e)
 
 
+def _dense_rows(variables, terms):
+    """A (row, monomial, coefficient) triple per (monomial, coefficient)
+    pair, in the order given. The row is the dense sort key [-degree,
+    -e_1, ..., -e_n], e_i the doubled exponent in variable i of
+    ``variables``, which hold every variable of the terms."""
+    index = {v: i for i, v in enumerate(variables, 1)}
+    width = len(index) + 1
+    rows = []
+    for m, c in terms:
+        row = [0] * width
+        for v, e in m._exps.items():
+            row[0] -= e
+            row[index[v]] = -e
+        rows.append((row, m, c))
+    return rows
+
+
 def format_mono(m):
     """Render in canonical text form: the text of the one-term polynomial
     ``m``, read from its sort row, so the unit prints as "1"."""
-    return _format_rows(*Poly._trusted({m: 1})._sort_rows())
+    return format_monos((m,))[0]
+
+
+def format_monos(monos):
+    """The text ``format_mono`` gives each of the given monomials, read
+    from their rows over one variable order, with one factor cache."""
+    variables = set()
+    for m in monos:
+        variables.update(m._exps)
+    variables = _in_variable_order(variables)
+    factor = _Factors().__getitem__
+    return [_format_rows(variables, [term], factor)
+            for term in _dense_rows(variables, ((m, 1) for m in monos))]
 
 
 class _Factors(dict):
@@ -519,12 +540,14 @@ def format_poly(p):
     return _format_rows(*p._sort_rows())
 
 
-def _format_rows(variables, rows):
+def _format_rows(variables, rows, factor=None):
     """The canonical text of the terms ``Poly._sort_rows`` returns; also
-    ``format_mono``'s, so each ``format_poly`` call prints a polynomial."""
+    ``format_monos``'s, one term at a time with a shared ``factor``
+    lookup, so one printer serves polynomials and monomials."""
     if not rows:
         return "0"
-    factor = _Factors().__getitem__
+    if factor is None:
+        factor = _Factors().__getitem__
     chunks = []
     for i, (row, _, c) in enumerate(rows):
         mag, exps = abs(c), row[1:]

@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 
-from .algebra import SnakeGraphsError, format_mono, format_poly
+from .algebra import SnakeGraphsError, format_mono, format_monos, format_poly
 from .skein import instance_from_dict, verify_skein
 from .surface import (
     ValidationError,
@@ -116,6 +116,14 @@ def _cmd_bmatrix(args, out):
     return 0
 
 
+def _matching_rows(name, triples):
+    """The ``matchings`` rows of one graph's (matching, weight, height)
+    triples: every weight and height is printed from one variable order
+    and one factor cache."""
+    texts = iter(format_monos([m for _, w, h in triples for m in (w, h)]))
+    return [{"curve": name, "x": x, "y": y} for x, y in zip(texts, texts)]
+
+
 def _cmd_matchings(args, out):
     tri, curves = _load_surface(args.input)
     rows = []
@@ -125,12 +133,7 @@ def _cmd_matchings(args, out):
         g = graph_for(tri, curve)
         triples = (g.good_matchings() if curve.kind == "loop"
                    else g.weighted_matchings())
-        for _, w, h in triples:
-            rows.append({
-                "curve": curve.name or "",
-                "x": format_mono(w),
-                "y": format_mono(h),
-            })
+        rows += _matching_rows(curve.name or "", triples)
     if args.format == "json":
         json.dump({"matchings": rows}, out, indent=2, sort_keys=True)
         out.write("\n")

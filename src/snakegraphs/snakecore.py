@@ -33,7 +33,7 @@ Grid conventions (frozen, everything else depends on them):
 from __future__ import annotations
 
 from array import array
-from itertools import chain, compress, groupby
+from itertools import compress, groupby
 from operator import itemgetter
 from sys import byteorder
 from typing import NamedTuple
@@ -450,47 +450,57 @@ class SnakeGraph:
     # -- matchings ---------------------------------------------------------
 
     def _leaves(self):
-        """The walk's (edge set, enclosed tiles) once per perfect matching,
-        both live: each is changed in place when the walk moves on.
+        """The walk's (flipped tiles, enclosure) once per perfect matching:
+        the tiles whose enclosure changed since the previous matching
+        (none at the first, the minimal one), and a live list of whether
+        each tile is enclosed, changed in place when the walk moves on.
 
         A matching is the minimal one with the four sides of each tile it
         encloses toggled. The enclosed sets are the 0/1 words on the tiles
         that avoid (1, 0) where the turn into the next tile is
         counterclockwise and (0, 1) where it is clockwise: the order
         ideals of a fence on the tiles. The walk is depth-first over the
-        tiles, with a stack rather than recursion.
+        tiles, with a stack rather than recursion. Between two leaves it
+        sets each tile from the branch point on exactly once and undoes
+        nothing when it backs up, so a tile is flipped only where the two
+        matchings differ.
         """
-        d, ccw, sides = self.d, self._ccw, self._sides
-        current, enclosed = set(self.minimal_matching()), []
+        d, ccw = self.d, self._ccw
+        inside, flips = [False] * d, []
         todo = [(0, True), (0, False)]  # (tile, enclosed) still to visit
         while todo:
-            j, inside = todo.pop()
-            while enclosed and enclosed[-1] >= j:  # back up to tile j
-                current.symmetric_difference_update(sides[enclosed.pop()])
-            if inside:
-                current.symmetric_difference_update(sides[j])
-                enclosed.append(j)
+            j, enclosed = todo.pop()
+            if inside[j] != enclosed:
+                inside[j] = enclosed
+                flips.append(j)
             if j + 1 == d:
-                yield current, enclosed
+                yield flips, inside
+                flips = []
             else:  # tile j + 1, skipping the pair this turn forbids
-                if inside or ccw[j]:
+                if enclosed or ccw[j]:
                     todo.append((j + 1, True))
-                if not (inside and ccw[j]):
+                if not (enclosed and ccw[j]):
                     todo.append((j + 1, False))
 
     def perfect_matchings(self, _rows=None):
         """All perfect matchings: the minimal one first, then by height
         degree, height and, between equal heights, sorted edges.
 
-        Each leaf of ``_leaves`` builds its matching, weight and height
-        once, and stores (weight, height) under the matching in ``_rows``
-        when a dict is given.
+        Each leaf of ``_leaves`` toggles the sides of its flipped tiles in
+        one edge set and builds its matching, weight and height once, and
+        stores (weight, height) under the matching in ``_rows`` when a
+        dict is given.
         """
         rows = {} if _rows is None else _rows
-        for current, enclosed in self._leaves():
+        sides, tiles = self._sides, range(self.d)
+        current = set(self.minimal_matching())
+        for flips, inside in self._leaves():
+            for j in flips:
+                current.symmetric_difference_update(sides[j])
             # a tuple, so that the frozenset gets a table of its own size
             m = frozenset(tuple(current))
-            rows[m] = (self.weight_mono(m), self.height_mono(enclosed))
+            rows[m] = (self.weight_mono(m),
+                       self.height_mono(compress(tiles, inside)))
 
         # Heights hold only kind "Y", so the ranks of their variables,
         # paired with exponents, sort as their items do.
@@ -611,13 +621,41 @@ class SnakeGraph:
 
     def enumerator_by_matchings(self):
         """The sum over perfect matchings of weight times height, in no
-        order: each leaf of ``_leaves`` adds one monomial over its edge
-        labels and the curlies of its enclosed tiles."""
-        labels = self.edge_labels.__getitem__
-        curlies = self._curlies.__getitem__
+        order. One monomial is carried across the walk from the minimal
+        matching, as an exponent dict, its hash and which edges and
+        enclosed tiles it holds: each flipped tile of ``_leaves`` toggles
+        its four sides and itself, the holder of its curly, and each leaf
+        adds a copy of the monomial to the sum. Edges and tiles are
+        numbered, so a toggle hashes no edge key."""
+        labels = self.edge_labels
+        ids = {e: i for i, e in enumerate(labels)}
+        toggles = [[(ids[e], labels[e], hash(labels[e])) for e in tile]
+                   + [(len(ids) + j, y, hash(y))]
+                   for j, (tile, y) in enumerate(zip(self._sides,
+                                                     self._curlies))]
+        held, exps, h = [False] * (len(ids) + self.d), {}, 0
+        for e in self.minimal_matching():
+            held[ids[e]] = True
+            v = labels[e]
+            exps[v] = exps.get(v, 0) + 2
+            h += hash(v)
         d = {}
-        for current, enclosed in self._leaves():
-            m = _monomial(chain(map(labels, current), map(curlies, enclosed)))
+        for flips, _ in self._leaves():
+            for j in flips:
+                for i, v, hv in toggles[j]:
+                    if held[i]:
+                        held[i] = False
+                        n = exps[v] - 2
+                        if n:
+                            exps[v] = n
+                        else:
+                            del exps[v]
+                        h -= hv
+                    else:
+                        held[i] = True
+                        exps[v] = exps.get(v, 0) + 2
+                        h += hv
+            m = Mono._hashed(exps.copy(), 2 * h)
             d[m] = d.get(m, 0) + 1
         return Poly._trusted(d)
 

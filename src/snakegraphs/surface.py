@@ -291,6 +291,8 @@ class Curve:
         if type(kinks) is not int:
             raise ValidationError(
                 "kinks must be an integer, not %r" % (kinks,))
+        if kinks < 0:
+            raise ValidationError("kinks must be 0 or more, not %d" % kinks)
         self.kind = kind
         self.crossings = list(crossings)
         self.start_triangle = start_triangle

@@ -12,8 +12,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from snakegraphs import cli
-from snakegraphs.algebra import Poly, format_poly, parse_poly
+from snakegraphs.algebra import Poly, format_mono, format_poly, parse_poly
 from snakegraphs.cli import main
+from snakegraphs.surface import graph_for
+
+from test_snakecore import neen_snake
 
 FIXTURES = resources.files("snakegraphs") / "fixtures"
 
@@ -135,6 +138,32 @@ class TestOtherVerbs:
         code, text = run(["matchings", fixture(name + ".json")])
         assert code == 0
         assert text == expected
+
+    @pytest.mark.parametrize("name", ["annulus", "hexagon",
+                                      "punctured_torus", "selffolded_disk"])
+    def test_matchings_rows_are_format_mono_per_row(self, name):
+        # the verb prints a graph's rows from one variable order; each
+        # text is still the one format_mono gives its monomial alone
+        code, text = run(["matchings", "--format", "json",
+                          fixture(name + ".json")])
+        assert code == 0
+        tri, curves = cli._load_surface(fixture(name + ".json"))
+        want = []
+        for curve in curves:
+            if curve.has_graph():
+                g = graph_for(tri, curve)
+                triples = (g.good_matchings() if curve.kind == "loop"
+                           else g.weighted_matchings())
+                want += [{"curve": curve.name or "", "x": format_mono(w),
+                          "y": format_mono(h)} for _, w, h in triples]
+        assert want and json.loads(text)["matchings"] == want
+
+    def test_matchings_rows_of_the_neen_snake(self):
+        triples = neen_snake().weighted_matchings()
+        assert len(triples) == 987
+        assert cli._matching_rows("neen", triples) == [
+            {"curve": "neen", "x": format_mono(w), "y": format_mono(h)}
+            for _, w, h in triples]
 
     def test_snake_dot(self):
         code, text = run(["snake-dot", "--curve", "bridge",
@@ -309,6 +338,7 @@ class TestErrors:
         ("annulus", lambda d: d["curves"][0].update(basepoint_triangle=9)),
         ("annulus", lambda d: d["arcs"].__setitem__(0, {"ends": []})),
         ("annulus", lambda d: d["curves"][1].update(kinks="x")),
+        ("annulus", lambda d: d["curves"][1].update(kinks=-3)),
         ("selffolded_disk", lambda d: d["self_folded"][0].pop("radius")),
         ("selffolded_disk",
          lambda d: d["self_folded"].__setitem__(0, ["l", "r", "p"])),
@@ -366,7 +396,8 @@ class TestErrors:
          lambda d: d["instance"]["lamination_counts"].update(
              delta={"0-2": 1})),
     ], ids=["start-range", "start-type", "end-type", "basepoint-range",
-            "arc-without-name", "kinks-type", "self-folded-no-radius",
+            "arc-without-name", "kinks-type", "kinks-negative",
+            "self-folded-no-radius",
             "self-folded-not-object", "triangle-number",
             "triangle-without-sides", "arcs-number", "boundary-number",
             "punctures-number", "self-folded-number", "curves-number",

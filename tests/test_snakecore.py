@@ -191,7 +191,7 @@ class TestWorkCounts:
         # the snake sum adds one monomial per leaf of the walk, with no
         # matching rows, no order and no packed kernel
         calls = []
-        self._count(monkeypatch, snakecore, "_monomial", calls)
+        self._count(monkeypatch, Mono, "_hashed", calls)
         for name in ("weight_mono", "height_mono", "perfect_matchings"):
             self._count(monkeypatch, SnakeGraph, name, calls)
         for name in ("_packed_fold", "_Packing"):
@@ -201,8 +201,23 @@ class TestWorkCounts:
         for g, count in ((neen_snake(), 987), (chord, 298)):
             calls.clear()
             p = g.enumerator_by_matchings()
-            assert calls == ["_monomial"] * count
+            assert calls == ["_hashed"] * count
             assert sum(c for _, c in p.coefficients()) == count
+
+    def test_walk_flips_only_the_tiles_that_change(self):
+        # consecutive matchings differ by the flipped tiles only; a walk
+        # that undid and redid its tails would flip about d^2 / 2 tiles
+        # on a chord
+        tri = fan_triangulation(300)
+        for ends in ((1, 299), (299, 1)):
+            g = graph_for(tri, fan_chord(300, *ends))
+            flips = [len(f) for f, _ in g._leaves()]
+            assert (g.d, len(flips), sum(flips)) == (297, 298, 297)
+        # a branch deep in the walk may reset a long tail (13 tiles at
+        # most here), but over the whole walk that averages out
+        flips = [len(f) for f, _ in neen_snake()._leaves()]
+        assert (len(flips), flips[0]) == (987, 0)
+        assert sum(flips) <= 2 * len(flips)
 
     def test_validated_monomials_grow_with_tiles(self, monkeypatch):
         g = neen_snake()
@@ -457,6 +472,17 @@ class TestFenceWalk:
             sys.setrecursionlimit(limit)
         assert len(rows) == 201
 
+    def test_flips_are_the_tiles_whose_enclosure_changed(self):
+        # the first leaf is the minimal matching, and each later leaf's
+        # flips are exactly the tiles it encloses differently
+        for d in range(1, 10):
+            for shapes in itertools.product((NORTH, EAST), repeat=d - 1):
+                before = [False] * d
+                for flips, inside in simple_snake(d, shapes)._leaves():
+                    assert flips == [j for j in range(d)
+                                     if inside[j] != before[j]]
+                    before = list(inside)
+
     def test_equal_heights_are_ordered_by_edges(self):
         # repeated diagonal labels let two matchings share a height; the
         # sorted edge sets then decide, as they always have
@@ -514,6 +540,35 @@ class TestLeafSum:
                        [xv("g0"), xv("g1")], *map(bv, corners))
         assert_leaf_sum_is_the_row_sum(g)
         assert g.enumerator_by_matchings() == g.enumerator_by_matrices()
+
+    @pytest.mark.parametrize("ends", [(1, 299), (299, 1)])
+    def test_chord_in_both_directions(self, ends):
+        assert_leaf_sum_is_the_row_sum(
+            graph_for(fan_triangulation(300), fan_chord(300, *ends)))
+
+    @pytest.mark.parametrize("diagonal,glue,corners", [
+        ("0000", "000", "abwz"), ("0101", "010", "abab"),
+        ("0000", "111", "abwz"), ("01201", "2020", "aawz")])
+    def test_carried_exponents_fall_to_zero_and_back(self, diagonal, glue,
+                                                     corners):
+        # labels shared between tiles, so some exponent of the carried
+        # monomial falls to 0 partway through the walk and rises again;
+        # the leaf monomials, rebuilt from each leaf's enclosed tiles,
+        # show that it does
+        g = SnakeGraph([xv("i" + c) for c in diagonal], "NEEN"[:len(glue)],
+                       [xv("i" + c) for c in glue], *map(bv, corners))
+        assert_leaf_sum_is_the_row_sum(g)
+        minimal, seen = g.minimal_matching(), {}
+        for _, inside in g._leaves():
+            m = set(minimal)
+            for j in itertools.compress(range(g.d), inside):
+                m.symmetric_difference_update(g._sides[j])
+            counted = Counter(g.edge_labels[e] for e in m)
+            counted.update(itertools.compress(g._curlies, inside))
+            for v in set(counted) | set(seen):
+                seen.setdefault(v, []).append(counted[v])
+        assert any(run[i] and not run[i + 1] and any(run[i + 2:])
+                   for run in seen.values() for i in range(len(run) - 2))
 
 
 class TestMatrixRoute:
