@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 
 from .algebra import SnakeGraphsError, format_mono, format_monos, format_poly
 from .skein import instance_from_dict, verify_skein
@@ -57,6 +58,8 @@ def _load_surface(path):
 
 
 def _pick_curves(curves, name, max_tiles):
+    if max_tiles is not None and max_tiles < 0:
+        raise CLIError("--max-tiles must be 0 or more, not %d" % max_tiles)
     if name is not None:
         chosen = [c for c in curves if c.name == name]
         if not chosen:
@@ -161,15 +164,16 @@ def _cmd_verify(args, out):
             out.write("curve %s: skipped (no matrix route)\n"
                       % (curve.name or "?",))
             continue
-        # Routes that agree with boundary variables kept agree after
-        # b -> 1 too, so this is the stronger of the two comparisons.
-        by_match = expand(tri, curve, keep_boundary=True)
-        by_matrix = expand_by_matrices(tri, curve, keep_boundary=True)
-        if by_match.laurent != by_matrix.laurent:
+        # The paper's theorem equates the two readings, before the
+        # division by the crossing monomial and the specialization that
+        # both share; equal readings give equal expansions.
+        by_match = expand(tri, curve)
+        by_matrix = expand_by_matrices(tri, curve)
+        if by_match.reading != by_matrix.reading:
             raise MethodMismatch(
-                "curve %s: matchings gave %s but matrices gave %s"
-                % (curve.name or "?", format_poly(by_match.laurent),
-                   format_poly(by_matrix.laurent)))
+                "curve %s: matchings read %s but matrices read %s"
+                % (curve.name or "?", format_poly(by_match.reading),
+                   format_poly(by_matrix.reading)))
         out.write("curve %s: methods agree\n" % (curve.name or "?",))
     return 0
 
@@ -198,7 +202,10 @@ def _cmd_selftest(args, out):
     return 0 if ok else 1
 
 
+@lru_cache(maxsize=None)
 def build_parser():
+    """The argument parser, built on first call and kept: every call of
+    ``main`` reads it and none changes it."""
     parser = argparse.ArgumentParser(
         prog="snakegraphs",
         description="Expand curves on triangulated surfaces and verify "
@@ -237,8 +244,7 @@ def build_parser():
 
 def main(argv=None, out=None):
     out = out or sys.stdout
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args, out)
     except SnakeGraphsError as exc:

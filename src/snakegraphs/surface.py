@@ -503,12 +503,26 @@ def coefficient_map(tri, keep_boundary=True):
 
 
 class ClusterElement:
-    """Result of expanding a curve: the Laurent expansion, and, each
-    computed on first read, its coefficient-only specialization, the
-    tropical shift of the latter and the shift-normalized expansion."""
+    """Result of expanding a curve: one route's signed reading of its
+    graph, or a fixed value for a kind without one, over the crossing
+    monomial (None when there is none). The Laurent expansion, its
+    coefficient-only specialization, the tropical shift of the latter and
+    the shift-normalized expansion are each computed on first read."""
 
-    def __init__(self, laurent):
-        self.laurent = laurent
+    def __init__(self, reading, crossing, tri, keep_boundary):
+        self.reading = reading
+        self.crossing = crossing
+        self.tri = tri
+        self.keep_boundary = keep_boundary
+
+    @cached_property
+    def laurent(self):
+        """The reading over the crossing monomial, through
+        ``coefficient_map``."""
+        raw = self.reading
+        if self.crossing is not None:
+            raw = raw.div_mono(self.crossing)
+        return specialize(self.tri, raw, self.keep_boundary)
 
     @cached_property
     def f_poly(self):
@@ -551,7 +565,8 @@ def signed_reading(curve, read):
 
 
 def expand(tri, curve, keep_boundary=False):
-    """Expand a curve into its Laurent polynomial by the matching rule."""
+    """Expand a curve by the matching rule: its graph and reading are
+    built here, the Laurent polynomial on first read."""
     if curve.kind == "puncture_loop":
         if curve.puncture is None:
             raise ValidationError("puncture loops need a puncture label")
@@ -564,22 +579,22 @@ def expand(tri, curve, keep_boundary=False):
         else:
             term = Mono({("y", a): 2 * tri.endpoint_count(a, p)
                          for a in tri.arcs})
-        raw = Poly.one() + Poly.from_mono(term)
-    else:
-        def read():
-            g = graph_for(tri, curve)
-            return g.enumerator_by_matchings().div_mono(g.crossing_mono())
-        raw = signed_reading(curve, read)
-    return ClusterElement(specialize(tri, raw, keep_boundary))
+        return ClusterElement(Poly.one() + Poly.from_mono(term), None, tri,
+                              keep_boundary)
+    if not curve.has_graph():
+        return ClusterElement(signed_reading(curve, None), None, tri,
+                              keep_boundary)
+    g = graph_for(tri, curve)
+    return ClusterElement(signed_reading(curve, g.enumerator_by_matchings),
+                          g.crossing_mono(), tri, keep_boundary)
 
 
 def expand_by_matrices(tri, curve, keep_boundary=False):
     """Expansion through the transfer-matrix product; used to cross-check
     the matching route. Only defined for plain arcs and loops."""
     g = graph_for(tri, curve)
-    raw = signed_reading(curve, lambda: g.enumerator_by_matrices().div_mono(
-        g.crossing_mono()))
-    return ClusterElement(specialize(tri, raw, keep_boundary))
+    return ClusterElement(signed_reading(curve, g.enumerator_by_matrices),
+                          g.crossing_mono(), tri, keep_boundary)
 
 
 # -- JSON interchange ------------------------------------------------------

@@ -5,6 +5,8 @@ import io
 import json
 import os
 import random
+import subprocess
+import sys
 import tempfile
 from importlib import resources
 
@@ -19,6 +21,7 @@ from snakegraphs.surface import graph_for
 from test_snakecore import neen_snake
 
 FIXTURES = resources.files("snakegraphs") / "fixtures"
+SURFACES = ("annulus", "selffolded_disk", "punctured_torus", "hexagon")
 
 
 def fixture(name):
@@ -84,6 +87,27 @@ class TestExpand:
                        fixture("hexagon.json")])
         assert code == 1
         assert "max-tiles" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb", ["expand", "matchings", "snake-dot",
+                                      "verify"])
+    def test_negative_max_tiles_is_one_line(self, capsys, verb):
+        code, text = run([verb, "--max-tiles", "-1",
+                          fixture("hexagon.json")])
+        assert (code, text) == (1, "")
+        assert capsys.readouterr().err == (
+            "CLIError: --max-tiles must be 0 or more, not -1\n")
+
+    def test_flags_do_not_leak_between_calls(self):
+        # the parser is built once per process; each call reads its own
+        # flags from it
+        path = fixture("selffolded_disk.json")
+        kept = golden("selffolded_disk.golden")
+        plain = run(["expand", path])
+        assert run(["expand", "--keep-boundary", path]) == (0, kept)
+        assert run(["expand", path]) == plain
+        assert run(["expand", "--keep-boundary", path]) == (0, kept)
+        assert plain[0] == 0 and "b:" in kept and "b:" not in plain[1]
+        assert cli.build_parser() is cli.build_parser()
 
 
 class TestOtherVerbs:
@@ -183,7 +207,7 @@ class TestOtherVerbs:
 
         def off_by_one(tri, curve, keep_boundary=False):
             element = expand_by_matrices(tri, curve, keep_boundary)
-            element.laurent = element.laurent + Poly.one()
+            element.reading = element.reading + Poly.one()
             return element
 
         monkeypatch.setattr(cli, "expand_by_matrices", off_by_one)
@@ -192,6 +216,31 @@ class TestOtherVerbs:
         assert code == 1
         assert err.startswith("MethodMismatch: curve")
         assert err.count("\n") == 1 and err.endswith("\n")
+
+    @pytest.mark.parametrize("name", SURFACES)
+    def test_verify_compares_readings_only(self, monkeypatch, name):
+        # one reading per route and graph curve, and no division by the
+        # crossing monomial or specialization, which the routes share
+        calls = {"expand": 0, "expand_by_matrices": 0, "substitute": 0,
+                 "div_mono": 0}
+
+        def counted(owner, attr):
+            original = getattr(owner, attr)
+
+            def counting(*args, **kwargs):
+                calls[attr] += 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(owner, attr, counting)
+
+        for owner, attr in ((cli, "expand"), (cli, "expand_by_matrices"),
+                            (Poly, "substitute"), (Poly, "div_mono")):
+            counted(owner, attr)
+        code, text = run(["verify", fixture(name + ".json")])
+        _, curves = cli._load_surface(fixture(name + ".json"))
+        graphs = sum(c.has_graph() for c in curves)
+        assert code == 0 and text.count("methods agree") == graphs > 0
+        assert calls == {"expand": graphs, "expand_by_matrices": graphs,
+                         "substitute": 0, "div_mono": 0}
 
     def test_verify_skips_special_kinds(self):
         code, text = run(["verify", fixture("punctured_torus.json")])
@@ -217,6 +266,41 @@ class TestOtherVerbs:
         assert code1 == code2 == 0
         assert text1 == text2
         assert text1.endswith("result: PASS\n")
+
+
+# Runs each command line call in-process and prints its exit status after
+# its output; the test below starts one child per hash seed.
+HASH_SEED_CHILD = """\
+import json, sys
+from snakegraphs.cli import main
+for argv in json.loads(sys.argv[1]):
+    sys.stdout.write("$ %s\\n" % " ".join(argv))
+    sys.stdout.write("exit %d\\n" % main(argv))
+"""
+
+
+def test_output_does_not_depend_on_the_hash_seed():
+    # packed keys, monomial hashes and the walk's hash sums depend on
+    # string hashes, so the printed order must be checked across seeds
+    calls = [verb + [fixture(name + ".json")] for name in SURFACES
+             for verb in (["expand"], ["expand", "--format", "json"],
+                          ["matchings"], ["matchings", "--format", "json"],
+                          ["snake-dot"], ["verify"])]
+    calls += [["skein-check", fixture("skein_octagon.json")],
+              ["selftest", "--seed", "3"]]
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    outputs = []
+    for seed in ("0", "1"):
+        done = subprocess.run(
+            [sys.executable, "-c", HASH_SEED_CHILD, json.dumps(calls)],
+            env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path),
+            capture_output=True, check=True)
+        assert done.stderr == b""
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]
+    statuses = [l for l in outputs[0].splitlines() if l.startswith(b"exit ")]
+    assert statuses == [b"exit 0"] * len(calls)
 
 
 class TestErrors:

@@ -505,6 +505,16 @@ class TestCoefficientMap:
         for tri, curve in random_surface_curves(random.Random(seed), 3):
             assert_one_pass_is_three(tri, curve)
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2 ** 32))
+    def test_laurent_is_the_reading_specialized(self, seed):
+        for tri, curve in random_surface_curves(random.Random(seed), 3):
+            for route in (expand, expand_by_matrices):
+                for keep in (False, True):
+                    el = route(tri, curve, keep)
+                    assert el.laurent == specialize(
+                        tri, el.reading.div_mono(el.crossing), keep)
+
     @pytest.mark.parametrize("keep_boundary", [False, True])
     @pytest.mark.parametrize("route", [expand, expand_by_matrices])
     @pytest.mark.parametrize("tri,curve", [
@@ -515,9 +525,10 @@ class TestCoefficientMap:
     ])
     def test_two_substitutions_per_expansion(self, monkeypatch, tri, curve,
                                              route, keep_boundary):
-        # one specialization, and one more for the F-polynomial once it
-        # is read; the three parts of the specialization used to take a
-        # pass each, and the shift and normalized expansion take none
+        # none for the route, one specialization once the expansion is
+        # read, and one more for the F-polynomial; the three parts of the
+        # specialization used to take a pass each, and the shift and
+        # normalized expansion take none
         calls = []
         original = Poly.substitute
 
@@ -527,6 +538,8 @@ class TestCoefficientMap:
 
         monkeypatch.setattr(Poly, "substitute", counting)
         el = route(tri, curve, keep_boundary=keep_boundary)
+        assert len(calls) == 0
+        el.laurent
         assert len(calls) == 1
         el.f_poly
         assert len(calls) == 2
