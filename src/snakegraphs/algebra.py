@@ -49,17 +49,6 @@ class PolyParseError(AlgebraError):
     """Raised on malformed canonical polynomial text."""
 
 
-_LABEL = re.compile(r"[^\s*^]+")
-LABEL_RULE = "a label is a nonempty string free of whitespace, '*' and '^'"
-
-
-def is_label(label):
-    """Whether ``label`` can name a variable: the canonical text prints it
-    bare, between "kind:" and a "*", "^" or " + ", and strips whitespace
-    around factors, so only such a label reads back."""
-    return isinstance(label, str) and _LABEL.fullmatch(label) is not None
-
-
 def var(kind, label):
     """Build a variable id, checking the kind."""
     if kind not in _KIND_ORDER:
@@ -418,27 +407,17 @@ class Poly:
         """
         if self.is_zero():
             raise ZeroPolynomial("tropical evaluation of the zero polynomial")
-        # one read of every term's items: the least exponent of each
-        # variable over the terms that hold it, and how many hold it
-        low, held = {}, {}
-        for m in self._terms:
-            for v, e in m._exps.items():
-                if v in low:
-                    held[v] += 1
-                    if e < low[v]:
-                        low[v] = e
-                else:
-                    low[v], held[v] = e, 1
+        # each term's sort row holds its negated exponents, 0 where it
+        # lacks a variable; so a variable's least exponent is minus the
+        # greatest entry of its column (column 0 is the degree)
+        every = self.variables()
+        columns = zip(*map(itemgetter(0),
+                           _dense_rows(every, self._terms.items())))
+        next(columns)
+        least = {v: -max(column) for v, column in zip(every, columns)}
         if variables is None:
-            variables = self.variables()
-        n, out = len(self._terms), {}
-        for v in variables:
-            lo = low.get(v, 0)
-            if lo > 0 and held[v] < n:  # a term without v counts as 0
-                lo = 0
-            if lo:
-                out[v] = lo
-        return Mono(out)
+            variables = every
+        return Mono({v: least[v] for v in variables if least.get(v)})
 
 
 def _add_product(d, p, q):
@@ -462,16 +441,36 @@ def _coerce(p):
 # canonical text form
 
 
+# The grammar of the canonical text, for every reader below. A variable
+# is "kind:label". A factor is an integer, or a variable with an optional
+# power "^n" or "^(n/2)", with optional whitespace around it. A term is
+# factors joined by "*", after an optional "-"; terms are joined by " + "
+# or " - ", which no label holds.
+_LABEL = re.compile(r"[^\s*^]+")
+LABEL_RULE = "a label is a nonempty string free of whitespace, '*' and '^'"
+_VARIABLE = re.compile("(%s):(%s)" % ("|".join(KINDS), _LABEL.pattern))
+_FACTOR = re.compile(r"\s*(?:(-?\d+)|%s(?:\^(?:(-?\d+)|\((-?\d+)/2\)))?)\s*"
+                     % _VARIABLE.pattern)
+_TERM_SEPARATOR = re.compile(r" ([+-]) \s*(-?)")
+
+
+def is_label(label):
+    """Whether ``label`` can name a variable: the canonical text prints it
+    bare, between "kind:" and a "*", "^" or " + ", and strips whitespace
+    around factors, so only such a label reads back."""
+    return isinstance(label, str) and _LABEL.fullmatch(label) is not None
+
+
 def format_var(v):
     return "%s:%s" % v
 
 
 def parse_var(text):
     """Inverse of format_var: ``kind:label`` back to a variable id."""
-    kind, sep, label = text.partition(":")
-    if not sep or kind not in _KIND_ORDER or not label:
+    m = _VARIABLE.fullmatch(text)
+    if m is None:
         raise PolyParseError("bad variable %r" % (text,))
-    return (kind, label)
+    return m.groups()
 
 
 def _format_factor(v, e):
@@ -563,60 +562,37 @@ def _format_rows(variables, rows, factor=None):
     return "".join(chunks)
 
 
-_POWER_RE = re.compile(r"^(-?\d+)$|^\((-?\d+)/2\)$")
-_INT_RE = re.compile(r"-?\d+")
-
-
-def _parse_factor(text):
-    """(coefficient, variable or None, doubled exponent) of one factor."""
-    text = text.strip()
-    if not text:
-        raise PolyParseError("empty factor")
-    if _INT_RE.fullmatch(text):
-        return int(text), None, 0
-    if "^" in text:
-        base, _, pw = text.partition("^")
-        m = _POWER_RE.match(pw.strip())
-        if not m:
-            raise PolyParseError("bad exponent %r" % pw)
-        exp2 = int(m.group(1)) * 2 if m.group(1) is not None else int(m.group(2))
-    else:
-        base, exp2 = text, 2
-    return 1, parse_var(base), exp2
+def _int(digits):
+    """int(digits), or a PolyParseError past the interpreter's limit."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise PolyParseError("integer too long: %.20s..." % digits) from None
 
 
 def parse_poly(text):
     """Parse canonical text form back into a polynomial.
 
     Inverse of format_poly on canonical output; also tolerant of extra
-    surrounding whitespace. Each term's exponents are summed in one dict
-    and checked by one ``Mono(...)``, and the terms in one dict.
+    whitespace around terms and factors. Each term's exponents are summed
+    in one dict and checked by one ``Mono(...)``, and the terms in one
+    dict. Any text outside the grammar raises PolyParseError.
     """
-    text = text.strip()
-    if not text:
-        raise PolyParseError("empty polynomial text")
-    if text == "0":
-        return Poly.zero()
-    # Split into signed terms. Separators are " + " and " - "; a label may
-    # itself contain "-" but never a space-padded one.
-    pieces = re.split(r" ([+-]) ", text)
-    signs = [1]
-    terms = [pieces[0]]
-    for i in range(1, len(pieces), 2):
-        signs.append(1 if pieces[i] == "+" else -1)
-        terms.append(pieces[i + 1])
+    # a separator before the text gives the first term its sign too
+    pieces = _TERM_SEPARATOR.split(" + " + text)
     out = {}
-    for sign, term in zip(signs, terms):
-        term = term.strip()
-        if term.startswith("-"):
-            sign = -sign
-            term = term[1:]
-        coeff, exps = sign, {}
+    for sign, minus, term in zip(pieces[1::3], pieces[2::3], pieces[3::3]):
+        coeff, exps = (-1) ** (sign + minus).count("-"), {}
         for factor in term.split("*"):
-            c, v, e = _parse_factor(factor)
-            coeff *= c
-            if v is not None:
-                exps[v] = exps.get(v, 0) + e
+            m = _FACTOR.fullmatch(factor)
+            if m is None:
+                raise PolyParseError("bad factor %r" % (factor,))
+            n, kind, label, power, half = m.groups()
+            if n:
+                coeff *= _int(n)
+            else:
+                e = 2 * _int(power) if power else _int(half) if half else 2
+                exps[kind, label] = exps.get((kind, label), 0) + e
         mono = Mono(exps)
         out[mono] = out.get(mono, 0) + coeff
     return Poly._trusted(out)

@@ -6,6 +6,7 @@ the canonical form rather than a snapshot of it.
 """
 
 import functools
+import sys
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -22,7 +23,9 @@ from snakegraphs.algebra import (
     ZeroPolynomial,
     format_mono,
     format_poly,
+    is_label,
     parse_poly,
+    parse_var,
     var,
 )
 
@@ -256,6 +259,56 @@ class TestCanonicalText:
         for bad in ["", "x", "x:t1^", "q:t1", "x:t1^^2", "x:"]:
             with pytest.raises(PolyParseError):
                 parse_poly(bad)
+
+    @pytest.mark.parametrize("bad", [
+        "x:a b", "x:a -", "x:a ^2", "x:a^ 2", "x:a^(1 /2)", "- ", "x:a + ",
+        "x:a\n+ x:b", "x:a*", "*x:a", "2*-x:a", "x:a^2^3"])
+    def test_every_malformed_text_is_a_parse_error(self, bad):
+        with pytest.raises(PolyParseError):
+            parse_poly(bad)
+
+    def test_integer_past_the_digit_limit_is_a_parse_error(self):
+        # from Python 3.11 (and some 3.10 patch releases), int() refuses a
+        # string of more digits than a settable limit, 0 meaning none
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        digits = "9" * (max(limit, 4300) + 700)
+        for text in (digits, "x:a^" + digits, "x:a^(-%s/2)" % digits,
+                     "x:b + 2*x:a^-" + digits):
+            if limit:
+                with pytest.raises(PolyParseError):
+                    parse_poly(text)
+            else:
+                assert not parse_poly(text).is_zero()
+
+    @pytest.mark.parametrize("bad", [
+        "x:a*b", "x:a b", "x:a^2", "x:", ":a", "q:a", "x", " x:a", "x:a "])
+    def test_parse_var_refuses_what_is_label_refuses(self, bad):
+        with pytest.raises(PolyParseError):
+            parse_var(bad)
+
+    @given(st.sampled_from(KINDS), st.text(max_size=6))
+    def test_parse_var_reads_exactly_the_labels(self, kind, label):
+        text = "%s:%s" % (kind, label)
+        if is_label(label):
+            assert parse_var(text) == (kind, label)
+        else:
+            with pytest.raises(PolyParseError):
+                parse_var(text)
+
+    @settings(max_examples=500)
+    @given(st.text("xyYb:at19 *^(/)+-", max_size=14)
+           | st.lists(st.sampled_from(("x:a", "y:t1", "Y:2", "b:0-2", "3",
+                                       "-", "*", "^", "^-1", "^(3/2)", " ",
+                                       " + ", " - ")),
+                      max_size=8).map("".join))
+    def test_any_text_reads_back_or_is_a_parse_error(self, text):
+        # the text is drawn from the grammar's alphabet, and from its
+        # tokens so that some draws parse
+        try:
+            p = parse_poly(text)
+        except PolyParseError:
+            return
+        assert parse_poly(format_poly(p)) == p
 
 
 class TestSubstitute:

@@ -1,6 +1,7 @@
 """Command line tests against the bundled fixtures and their goldens."""
 
 import contextlib
+import copy
 import io
 import json
 import os
@@ -650,6 +651,77 @@ class TestMutationFuzz:
         for seed in range(self.SEEDS):
             doc = mutate(json.loads(golden(name + ".json")),
                          random.Random(seed))
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+            for verb in verbs:
+                err = io.StringIO()
+                with contextlib.redirect_stderr(err):
+                    code, _ = run(verb + [path])
+                assert code in (0, 1), (seed, verb, doc)
+                assert err.getvalue().count("\n") == (code == 1), \
+                    (seed, verb, doc, err.getvalue())
+
+
+def mutate_more(doc, rng):
+    """Make one to three random changes to ``doc`` in place: besides
+    ``mutate``'s, duplicate a list entry, swap two subtrees, replace a
+    string by another string of the document, or shift an integer by 1
+    or 2 either way. Each change is drawn among those that fit a random
+    slot."""
+    words = sorted({node[key] for node, key in slots(doc)
+                    if isinstance(node[key], str)})
+    for _ in range(rng.randint(1, 3)):
+        places = slots(doc)
+        if not places:
+            break
+        node, key = rng.choice(places)
+        value = node[key]
+        edits = ["drop", "replace", "swap"]
+        if isinstance(node, list):
+            edits.append("duplicate")
+        if isinstance(value, str):
+            edits.append("relabel")
+        if type(value) is int:
+            edits.append("shift")
+        edit = rng.choice(edits)
+        if edit == "drop":
+            del node[key]
+        elif edit == "replace":
+            node[key] = copy.deepcopy(rng.choice(FUZZ_VALUES))
+        elif edit == "swap":
+            # copies, so that swapping a subtree with its own descendant
+            # makes no cycle
+            other, other_key = rng.choice(places)
+            node[key], other[other_key] = (copy.deepcopy(other[other_key]),
+                                           copy.deepcopy(value))
+        elif edit == "duplicate":
+            node.insert(key, copy.deepcopy(value))
+        elif edit == "relabel":
+            node[key] = rng.choice(words)
+        else:
+            node[key] = value + rng.choice((-2, -1, 1, 2))
+    return doc
+
+
+class TestRicherMutationFuzz:
+    """``TestMutationFuzz`` with duplicated entries, swapped subtrees,
+    swapped labels and shifted integers: every verb still exits 0, or 1
+    with exactly one stderr line."""
+
+    SEEDS = range(200)
+
+    @pytest.mark.parametrize("name,verbs", [
+        ("annulus", SURFACE_VERBS),
+        ("selffolded_disk", SURFACE_VERBS),
+        ("punctured_torus", SURFACE_VERBS),
+        ("hexagon", SURFACE_VERBS),
+        ("skein_octagon", (["skein-check"],)),
+    ])
+    def test_mutated_fixture(self, tmp_path, name, verbs):
+        path = str(tmp_path / "mutant.json")
+        for seed in self.SEEDS:
+            doc = mutate_more(json.loads(golden(name + ".json")),
+                              random.Random(seed))
             with open(path, "w", encoding="utf-8") as fh:
                 json.dump(doc, fh)
             for verb in verbs:
