@@ -139,13 +139,11 @@ def random_polygon(rng, n):
 def random_polygon_arc(rng, tri, max_tiles=8):
     """An arc obtained from a random walk in the dual tree of a polygon
     triangulation: the unique dual path between two random triangles."""
-    adjacency = {}
-    for i, t in enumerate(tri.triangles):
-        for s in t:
-            if s in tri.arcs:
-                adjacency.setdefault(s, []).append(i)
     neighbors = {}
-    for s, (i, j) in adjacency.items():
+    # the arcs in order of first appearance, each in two triangles
+    for s in dict.fromkeys(s for t in tri.triangles for s in t
+                           if not tri.is_boundary(s)):
+        i, j = tri.triangles_containing(s)
         neighbors.setdefault(i, []).append((s, j))
         neighbors.setdefault(j, []).append((s, i))
     candidates = sorted(neighbors)

@@ -520,18 +520,11 @@ class SnakeGraph:
 
     def minimal_matching(self):
         """The all-boundary matching that contains the corner ``a`` edge:
-        every other edge of the boundary cycle, starting at ``a``."""
-        around = {}
-        for key in set(self.edge_labels) - set(self.glue_keys):
-            for v in key:
-                around.setdefault(v, []).append(key)
-        out, key, v = [], self.edge_key_a, self.edge_key_a[0]
-        while len(out) <= self.d:
-            out.append(key)
-            for _ in range(2):  # pass the next edge, take the one after
-                v, = set(key) - {v}
-                key, = set(around[v]) - {key}
-        return frozenset(out)
+        the south and north sides of the even tiles and the west and
+        east sides of the odd tiles, less the glue edges."""
+        glue = set(self.glue_keys)
+        return frozenset(side for j, tile in enumerate(self._sides)
+                         for side in tile[j % 2::2] if side not in glue)
 
     def weight_mono(self, matching):
         return _monomial(map(self.edge_labels.__getitem__, matching))

@@ -75,8 +75,8 @@ class Triangulation:
     def _validate(self):
         """Check the gluing and build the indexes every query reads: the
         arc and boundary sets, each label's triangles in ascending order,
-        and each self-folded record under its sorted sides. Each check
-        reads these once, so validation is linear in the surface."""
+        and each triangle's self-folded record, or None. Each check reads
+        these once, so validation is linear in the surface."""
         arcset, bset = set(self.arcs), set(self.boundary)
         if arcset & bset:
             raise ValidationError("labels used as both arc and boundary")
@@ -96,7 +96,7 @@ class Triangulation:
             named |= {sf["noose"], sf["radius"]}
             folded[_folded_sides(sf)] = sf
         radii = {sf["radius"] for sf in self.self_folded}
-        counts, homes, shapes = {}, {}, set()
+        counts, homes, records = {}, {}, []
         for idx, tri in enumerate(self.triangles):
             if len(tri) != 3:
                 raise ValidationError("triangle %d is not a triple" % idx)
@@ -114,8 +114,9 @@ class Triangulation:
                     raise MalformedSelfFolded(
                         "triangle %d repeats side %r without a matching "
                         "self-folded declaration" % (idx, only))
-            if folded:
-                shapes.add(tuple(sorted(tri)))
+            # a record that no triangle takes stays behind in ``folded``
+            records.append(folded.pop(tuple(sorted(tri)), None)
+                           if folded else None)
         for a in self.arcs:
             if counts.get(a, 0) > 2:
                 raise ArcInThreeTriangles(
@@ -130,11 +131,11 @@ class Triangulation:
                 raise MalformedSelfFolded("self-folded sides must be arcs")
             if p not in punctures:
                 raise MalformedSelfFolded("unknown puncture %r" % (p,))
-            if _folded_sides(sf) not in shapes:
+            if _folded_sides(sf) in folded:
                 raise MalformedSelfFolded(
                     "no (radius, radius, noose) triangle for %r" % (sf,))
         self._arc_set, self._boundary_set = arcset, bset
-        self._homes, self._folded = homes, folded
+        self._homes, self._records = homes, records
         self._check_orientation()
         for a, ends in self.arc_ends.items():
             if a not in arcset:
@@ -143,18 +144,15 @@ class Triangulation:
                 raise ValidationError("arc %r needs exactly two ends" % a)
 
     def _glued_pairs(self):
-        """The pairs (i, j), i < j, of ordinary triangles that share an
-        arc, in ascending order. Each arc lies in at most two triangles,
-        so there are fewer pairs than arcs."""
-        ordinary = [self.self_folded_record(i) is None
-                    for i in range(len(self.triangles))]
-        pairs = []
-        for i, tri in enumerate(self.triangles):
-            if ordinary[i]:
-                later = {j for s in tri if s in self._arc_set
-                         for j in self._homes[s] if j > i and ordinary[j]}
-                pairs.extend((i, j) for j in sorted(later))
-        return pairs
+        """The pairs (i, j), i < j, of ordinary triangles that share
+        exactly two arcs, in ascending order. Each arc lies in at most two
+        triangles, so there are fewer pairs than arcs."""
+        shared = {}
+        for a in self.arcs:
+            pair = tuple(self._homes.get(a, ()))
+            if len(pair) == 2 and all(self._records[k] is None for k in pair):
+                shared[pair] = shared.get(pair, 0) + 1
+        return sorted(pair for pair, n in shared.items() if n == 2)
 
     def _check_orientation(self):
         """Two ordinary triangles glued along two arcs must see the shared
@@ -162,15 +160,12 @@ class Triangulation:
         orientation."""
         for i, j in self._glued_pairs():
             first, second = self.triangles[i], self.triangles[j]
-            shared = set(first) & set(second) & self._arc_set
-            if len(shared) != 2:
-                continue
-            s1, s2 = sorted(shared)
+            s1, s2 = shared = sorted(set(first) & set(second))
             if (self._succ(first, s1) == s2) == \
                     (self._succ(second, s1) == s2):
                 raise OrientationInconsistent(
                     "triangles %r and %r glue along %r with matching "
-                    "cyclic orders" % (first, second, sorted(shared)))
+                    "cyclic orders" % (first, second, shared))
 
     # -- basic queries -----------------------------------------------------
 
@@ -183,9 +178,7 @@ class Triangulation:
     def self_folded_record(self, idx):
         """The (noose, radius, puncture) record of triangle ``idx``, or
         None for an ordinary triangle."""
-        if not self.self_folded:
-            return None
-        return self._folded.get(tuple(sorted(self.triangles[idx])))
+        return self._records[idx]
 
     def triangles_containing(self, label):
         """The indices of the triangles with ``label`` as a side, in

@@ -9,10 +9,10 @@ canonical order and text are read from each monomial's sorted items
 rather than from dense sort rows.
 """
 
+from collections import Counter
 from functools import cmp_to_key
 
-from snakegraphs.algebra import KINDS, Mono, _add_power2
-from snakegraphs.snakecore import _monomial
+from snakegraphs.algebra import KINDS, Mono
 from snakegraphs.skein import SkeinError
 from snakegraphs.surface import ValidationError
 
@@ -80,17 +80,30 @@ def good_matchings_by_exhaustion(band):
 
     good = [m for m in exhaustive_matchings(vertices, ends)
             if "cut" in m or side(m, (0, 0)) == side(m, (1, 0))]
-    out = [(m, _monomial(labels[eid] for eid in m)) for m in good]
+    out = [(m, monomial_of(labels[eid] for eid in m)) for m in good]
     return sorted(out, key=lambda it: sorted(map(str, it[0])))
 
 
 # -- monomials and expansions ------------------------------------------------
 
 
+def monomial_of(variables):
+    """The product of the given variables, each raised to the number of
+    times it is given, built by the validating constructor."""
+    return Mono({v: 2 * n for v, n in Counter(variables).items()})
+
+
 def power2(m, exp2):
     """The monomial ``m`` raised to the power exp2/2, which must be an
     exact Laurent monomial."""
-    return Mono._trusted(_add_power2({}, m, exp2))
+    out = {}
+    for v, e in m.items():
+        half, odd = divmod(e * exp2, 2)
+        if odd:
+            raise ValueError("%r to the power %d/2 is not a Laurent "
+                             "monomial" % (m, exp2))
+        out[v] = half
+    return Mono(out)
 
 
 def tropical_eval_per_variable(p, variables=None):

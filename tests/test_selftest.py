@@ -67,6 +67,49 @@ class TestGenerators:
             assert curve.kind in ("arc", "loop")
             assert len(curve.crossings) <= 8
 
+    def test_random_draws_are_pinned(self):
+        # the seeded suite runs on these draws, and its printed lines
+        # would not show a change in them: (kind, crossings, start, end,
+        # basepoint) of the first five surface curves per seed, then the
+        # arc drawn on a random heptagon
+        want = {
+            0: [("loop", ["5", "6", "1", "2", "3", "4"], None, None, 3),
+                ("arc", ["0-2", "2-4"], 2, 3, None),
+                ("arc", ["2", "1", "8"], 1, 6, None),
+                ("arc", ["7", "6"], 6, 4, None),
+                ("arc", ["0-2"], 0, 1, None),
+                ("arc", ["2-4", "0-2"], 3, 2, None)],
+            1: [("arc", ["0-2"], 1, 0, None),
+                ("loop", ["1", "2", "3", "4"], None, None, 3),
+                ("arc", ["3"], 2, 1, None),
+                ("arc", ["1", "4"], 0, 2, None),
+                ("arc", ["6-8", "5-8", "0-5", "1-5", "1-3"], 6, 3, None),
+                ("arc", ["2-4", "2-6", "0-2"], 3, 1, None)],
+            2: [("loop", ["3", "4", "1", "2"], None, None, 1),
+                ("arc", ["4", "3", "2", "1", "8"], 3, 6, None),
+                ("arc", ["6", "5", "4", "3", "2", "1", "8"], 5, 6, None),
+                ("arc", ["1-3", "0-3", "0-5"], 3, 0, None),
+                ("arc", ["1-4"], 1, 0, None),
+                ("arc", ["2-6", "1-6"], 2, 0, None)],
+            3: [("arc", ["2-6", "2-7", "0-2"], 3, 1, None),
+                ("arc", ["5-7"], 5, 4, None),
+                ("arc", ["4-6", "4-7", "1-7"], 5, 0, None),
+                ("loop", ["4", "1", "2", "3"], None, None, 2),
+                ("arc", ["4-8", "0-4", "0-3", "0-2"], 4, 3, None),
+                ("arc", ["4-6"], 4, 2, None)],
+        }
+
+        def row(curve):
+            return (curve.kind, curve.crossings, curve.start_triangle,
+                    curve.end_triangle, curve.basepoint_triangle)
+
+        for seed, rows in want.items():
+            got = [row(curve) for _, curve in
+                   random_surface_curves(random.Random(seed), 5)]
+            rng = random.Random(seed)
+            got.append(row(random_polygon_arc(rng, random_polygon(rng, 7))))
+            assert got == rows
+
     def test_random_graphs_respect_bounds(self):
         rng = random.Random(3)
         for _ in range(10):

@@ -35,7 +35,6 @@ from snakegraphs.snakecore import (
     SnakeGraph,
     _curly,
     _matching_sum,
-    _monomial,
     pivot,
     shear,
     twist,
@@ -43,7 +42,11 @@ from snakegraphs.snakecore import (
 from snakegraphs.selftest import fan_chord, fan_triangulation
 from snakegraphs.surface import graph_for
 
-from oracles import good_matchings_by_exhaustion, matchings_by_exhaustion
+from oracles import (
+    good_matchings_by_exhaustion,
+    matchings_by_exhaustion,
+    monomial_of,
+)
 
 
 def xv(lbl):
@@ -331,6 +334,27 @@ class TestMatchings:
             first, _, height = g.weighted_matchings()[0]
             assert first == mmin and height.is_unit()
 
+    def test_minimal_is_the_matching_its_definition_names(self):
+        # P- is the one perfect matching that holds corner a and no glue
+        # edge, and it holds w but not z; a leaf of the walk, which
+        # toggles enclosed tiles away from it, holds a exactly when tile
+        # 0 is not enclosed and w exactly when the last tile is not
+        for d in range(1, 9):
+            for shapes in itertools.product((NORTH, EAST), repeat=d - 1):
+                g = simple_snake(d, shapes)
+                everything = matchings_by_exhaustion(g)
+                mmin = g.minimal_matching()
+                assert [m for m in everything if g.edge_key_a in m
+                        and not m & set(g.glue_keys)] == [mmin]
+                assert g.edge_key_w in mmin and g.edge_key_z not in mmin
+                current = set(mmin)
+                for flips, inside in g._leaves():
+                    for j in flips:
+                        current.symmetric_difference_update(g._sides[j])
+                    assert frozenset(current) in everything
+                    assert (g.edge_key_a in current) == (not inside[0])
+                    assert (g.edge_key_w in current) == (not inside[-1])
+
     def test_rel_flip(self):
         rng = random.Random(8)
         for _ in range(15):
@@ -381,7 +405,7 @@ def ray_cast_height(g, matching, minimal):
                    if v1[0] > px and min(v1[1], v2[1]) == py)
         if hits % 2:
             enclosed.append(_curly(vid))
-    return _monomial(enclosed)
+    return monomial_of(enclosed)
 
 
 def assert_heights_match_ray_cast(g):
